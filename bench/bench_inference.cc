@@ -22,9 +22,15 @@
 // approx.inference_ns means), plus batching on vs off (observables must
 // match exactly — the coalesced queue may not change the simulation).
 //
+// A fourth phase times training: ns per batch of approx::train_micro_model
+// on the packed kernels against the scalar oracle of tests/train_oracle.h,
+// LSTM/GRU x hidden 16/32/64, median and range over repeated runs from
+// identical initial weights. The trained weights must match bit for bit.
+//
 // Writes machine-readable BENCH_inference.json into the working directory
 // (format documented in EXPERIMENTS.md). `--batch` runs only the batched
-// phases (the sanitizer smoke in scripts/check.sh uses it).
+// phases and `--train` only the training phase, both at reduced scale
+// (the sanitizer smokes in scripts/check.sh use them).
 
 #include <algorithm>
 #include <chrono>
@@ -38,15 +44,19 @@
 #include <string>
 #include <vector>
 
+#include "approx/dataset.h"
 #include "approx/features.h"
 #include "approx/micro_model.h"
+#include "approx/trainer.h"
 #include "bench_common.h"
 #include "core/experiment.h"
 #include "ml/inference.h"
+#include "ml/kernels.h"
 #include "ml/linear.h"
 #include "ml/sequence_model.h"
 #include "sim/random.h"
 #include "telemetry/report.h"
+#include "train_oracle.h"
 
 namespace {
 
@@ -307,23 +317,185 @@ double hybrid_inference_ns_mean(const esim::core::RunResult& result,
   return static_cast<double>(h->sum) / static_cast<double>(h->count);
 }
 
+/// Training rows: make_features plus drop and latency targets derived
+/// from them, normalized the way build_dataset normalizes.
+esim::approx::Dataset make_training_dataset(std::size_t n,
+                                            std::uint64_t seed) {
+  esim::approx::Dataset ds;
+  ds.features = make_features(n, seed);
+  double sum = 0.0, sq = 0.0;
+  std::size_t delivered = 0;
+  for (const auto& f : ds.features) {
+    const bool drop = f.v[0] > 0.7;
+    const double log_us = drop ? 0.0 : 2.0 + f.v[1] + 0.3 * f.v[8];
+    ds.drop_targets.push_back(drop ? 1.0 : 0.0);
+    ds.latency_log_us.push_back(log_us);
+    if (!drop) {
+      sum += log_us;
+      sq += log_us * log_us;
+      ++delivered;
+    }
+  }
+  ds.mean_log_us = sum / static_cast<double>(delivered);
+  ds.std_log_us = std::sqrt(sq / static_cast<double>(delivered) -
+                            ds.mean_log_us * ds.mean_log_us);
+  return ds;
+}
+
+/// Median and range of repeated measurements.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return {n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]), v.front(),
+          v.back()};
+}
+
+struct TrainRow {
+  std::string name;
+  Spread oracle_ns;  // per training batch
+  Spread kernel_ns;
+  bool bit_identical = true;
+  double speedup() const {
+    return kernel_ns.median > 0.0 ? oracle_ns.median / kernel_ns.median : 0.0;
+  }
+};
+
+/// Every parameter tensor of `a` and `b` holds the same bits.
+bool same_weights(MicroModel& a, MicroModel& b) {
+  const auto pa = a.parameters();
+  const auto pb = b.parameters();
+  if (pa.size() != pb.size()) return false;
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    const auto& x = *pa[i].value;
+    const auto& y = *pb[i].value;
+    if (x.rows() != y.rows() || x.cols() != y.cols() ||
+        std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// ns per training batch of one whole train_micro_model call (batches
+/// plus the closing evaluation sweep) on a fresh copy of `initial`;
+/// `trained` receives the trained copy.
+template <typename Train>
+double time_training(const MicroModel& initial,
+                     const esim::approx::Dataset& ds,
+                     const esim::approx::TrainConfig& tcfg, Train&& train,
+                     std::unique_ptr<MicroModel>& trained) {
+  trained = std::make_unique<MicroModel>(initial);
+  const auto t0 = std::chrono::steady_clock::now();
+  train(*trained, ds, tcfg);
+  const std::chrono::duration<double, std::nano> dt =
+      std::chrono::steady_clock::now() - t0;
+  return dt.count() / static_cast<double>(tcfg.batches);
+}
+
+/// Training on the packed kernels vs the scalar oracle, alternating
+/// repetitions from identical initial weights.
+TrainRow bench_training(TrunkKind trunk, std::size_t hidden,
+                        const esim::approx::Dataset& ds,
+                        const esim::approx::TrainConfig& tcfg, int reps) {
+  MicroModel::Config cfg;
+  cfg.trunk = trunk;
+  cfg.hidden = hidden;
+  cfg.layers = 2;
+  cfg.seed = 7;
+  const MicroModel initial{cfg};
+  TrainRow row;
+  row.name = std::string{esim::ml::trunk_kind_name(trunk)} + "_h" +
+             std::to_string(hidden);
+  std::vector<double> oracle_ns, kernel_ns;
+  std::unique_ptr<MicroModel> by_oracle, by_kernels;
+  for (int r = 0; r < reps; ++r) {
+    oracle_ns.push_back(time_training(initial, ds, tcfg,
+                                      esim::oracle::train_micro_model,
+                                      by_oracle));
+    kernel_ns.push_back(time_training(initial, ds, tcfg,
+                                      esim::approx::train_micro_model,
+                                      by_kernels));
+  }
+  row.oracle_ns = spread_of(oracle_ns);
+  row.kernel_ns = spread_of(kernel_ns);
+  row.bit_identical = same_weights(*by_oracle, *by_kernels);
+  return row;
+}
+
+struct TrainPhase {
+  esim::approx::TrainConfig config;
+  int repetitions = 0;
+  std::vector<TrainRow> rows;
+};
+
+/// Phase 4: training cost per batch, kernels vs oracle, at the hybrid
+/// benchmark's training shape (32 sequences x 24 steps, two layers).
+TrainPhase run_training_phase(bool reduced) {
+  TrainPhase phase;
+  esim::approx::TrainConfig& tcfg = phase.config;
+  tcfg.batch_size = 32;
+  tcfg.seq_len = 24;
+  tcfg.batches = reduced ? 2 : 20;
+  tcfg.learning_rate = 5e-3;
+  const int reps = phase.repetitions = reduced ? 2 : 5;
+  const auto ds = make_training_dataset(reduced ? 256 : 2048, 20250806);
+  std::printf(
+      "\ntraining: train_micro_model on the %s kernels vs the scalar oracle, "
+      "%zu batches of %zu x %zu steps;\nns per batch, median (min..max) "
+      "over %d repetitions\n",
+      esim::ml::kernels::isa_name(), tcfg.batches, tcfg.batch_size,
+      tcfg.seq_len, reps);
+  std::printf("%-10s %28s %28s %8s %9s\n", "config", "oracle ns/batch",
+              "kernels ns/batch", "speedup", "bitident");
+  for (const TrunkKind trunk : {TrunkKind::Lstm, TrunkKind::Gru}) {
+    for (const std::size_t hidden : {16, 32, 64}) {
+      const TrainRow r = bench_training(trunk, hidden, ds, tcfg, reps);
+      std::printf("%-10s %10.0f (%7.0f..%7.0f) %10.0f (%7.0f..%7.0f) %7.2fx "
+                  "%9s\n",
+                  r.name.c_str(), r.oracle_ns.median, r.oracle_ns.min,
+                  r.oracle_ns.max, r.kernel_ns.median, r.kernel_ns.min,
+                  r.kernel_ns.max, r.speedup(), r.bit_identical ? "yes" : "NO");
+      phase.rows.push_back(r);
+    }
+  }
+  return phase;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   // --batch: only the batched phases, at reduced scale — the sanitizer
   // smoke in scripts/check.sh cares about memory discipline and the
   // bit-identity gates, not throughput numbers.
+  // --train: only the training phase, at reduced scale (the sanitizer
+  // smoke); exit 1 if the kernels train different weights than the oracle.
   bool batch_only = false;
+  bool train_only = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--batch") == 0) batch_only = true;
+    if (std::strcmp(argv[i], "--train") == 0) train_only = true;
   }
-  const bool reduced = quick_mode() || batch_only;
+  const bool reduced = quick_mode() || batch_only || train_only;
   const std::size_t n = reduced ? 2'048 : 200'000;
   const int repeats = batch_only ? 1 : (quick_mode() ? 2 : 3);
   const std::uint64_t seed = 20250805;
 
   print_header("bench_inference",
                "MicroModel packets/s: InferenceSession vs naive step()");
+  if (train_only) {
+    bool identical = true;
+    for (const TrainRow& r : run_training_phase(reduced).rows) {
+      identical = identical && r.bit_identical;
+    }
+    print_note("train-only mode: no JSON written");
+    return identical ? 0 : 1;
+  }
   std::printf("%zu packets per run, best of %d (two-layer trunks)\n\n", n,
               repeats);
 
@@ -516,6 +688,14 @@ int main(int argc, char** argv) {
                                       off_stats.egress_packets),
       batch_runs_identical ? "yes" : "NO");
 
+  TrainPhase train;
+  if (!batch_only) {
+    train = run_training_phase(reduced);
+    for (const TrainRow& r : train.rows) {
+      all_identical = all_identical && r.bit_identical;
+    }
+  }
+
   if (batch_only) {
     print_note("batch-only mode: no JSON written");
     print_note("checksum " + std::to_string(sink));
@@ -559,6 +739,26 @@ int main(int argc, char** argv) {
              session_ns > 0.0 ? reference_ns / session_ns : 0.0);
   report.set("hybrid.runs_identical", hybrid_identical);
   report.set("hybrid.batch_runs_identical", batch_runs_identical);
+  // Training phase (EXPERIMENTS.md): train.<config>.* — ns per batch of
+  // train_micro_model, oracle vs kernels, median/min/max.
+  report.set("train.kernel_isa", std::string{esim::ml::kernels::isa_name()});
+  report.set("train.batch_size",
+             static_cast<std::uint64_t>(train.config.batch_size));
+  report.set("train.seq_len", static_cast<std::uint64_t>(train.config.seq_len));
+  report.set("train.batches", static_cast<std::uint64_t>(train.config.batches));
+  report.set("train.repetitions",
+             static_cast<std::uint64_t>(train.repetitions));
+  for (const TrainRow& r : train.rows) {
+    const std::string key = "train." + r.name;
+    report.set(key + ".oracle_ns_per_batch.median", r.oracle_ns.median);
+    report.set(key + ".oracle_ns_per_batch.min", r.oracle_ns.min);
+    report.set(key + ".oracle_ns_per_batch.max", r.oracle_ns.max);
+    report.set(key + ".kernel_ns_per_batch.median", r.kernel_ns.median);
+    report.set(key + ".kernel_ns_per_batch.min", r.kernel_ns.min);
+    report.set(key + ".kernel_ns_per_batch.max", r.kernel_ns.max);
+    report.set(key + ".speedup", r.speedup());
+    report.set(key + ".bit_identical", r.bit_identical);
+  }
   const std::string path = "BENCH_inference.json";
   if (report.write(path)) {
     std::printf("wrote %s\n", path.c_str());

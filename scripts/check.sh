@@ -59,6 +59,14 @@ echo "=== default — esim_diffcheck scale-out fuzz (8/16 partitions) ==="
 echo "=== asan-ubsan — bench_inference --batch smoke ==="
 (cd build-asan && ./bench/bench_inference --batch)
 
+# Training on the packed kernels under the sanitizers: `--train` trains
+# LSTM/GRU micro models at h16/32/64 on the kernels and on the scalar
+# oracle and exits 1 unless the weights match bit for bit — the masked
+# ragged-edge loads/stores and the per-thread packing scratch are the
+# lifetime/overflow risks it drives.
+echo "=== asan-ubsan — bench_inference --train smoke ==="
+(cd build-asan && ./bench/bench_inference --train)
+
 # Quick sweep of the PDES scaling bench under ASan/UBSan: drives the
 # partitioner, per-pair windows, and SPSC rings at 1..8 partitions with
 # real TCP traffic.
@@ -113,8 +121,11 @@ echo "=== preset: tsan — test (threaded suites) ==="
 # Memo / PhaseCache cover the PDES memo runner: delta recording across
 # partition threads (the completion log mutex) and replay between
 # engine windows.
+# TrainKernels covers train_from_trace training the ingress and egress
+# models on two threads (per-thread packing scratch, shared read-only
+# trace and config).
 ctest --preset tsan "${jobs}" -R \
-  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache'
+  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainKernels'
 
 if [[ "${ESIM_CHECK_COVERAGE:-0}" == "1" ]]; then
   echo "=== preset: coverage — configure ==="

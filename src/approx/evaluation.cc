@@ -58,8 +58,7 @@ EvalMetrics evaluate_micro_model(MicroModel& model, const Dataset& test) {
   std::vector<double> lat_errors;
   std::size_t tp = 0, fp = 0, fn = 0, correct = 0, drops = 0;
   double bias = 0;
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    const auto pred = model.predict(test.features[i]);
+  const auto score = [&](std::size_t i, const MicroModel::Prediction& pred) {
     drop_scores[i] = pred.drop_probability;
     const bool was_drop = test.drop_targets[i] > 0.5;
     const bool said_drop = pred.drop_probability > 0.5;
@@ -69,14 +68,17 @@ EvalMetrics evaluate_micro_model(MicroModel& model, const Dataset& test) {
     if (said_drop && !was_drop) ++fp;
     if (!said_drop && was_drop) ++fn;
     if (!was_drop) {
-      const double target =
-          (test.latency_log_us[i] - test.mean_log_us) / test.std_log_us;
-      const double err =
-          model.normalize_latency(pred.latency_seconds) - target;
+      // Targets are normalized in the model's frame (the training split's
+      // statistics), like its predictions; the test split's own
+      // statistics, which split_dataset recomputes, would shift and
+      // scale every error.
+      const double err = model.normalize_latency(pred.latency_seconds) -
+                         model.normalize_log_latency(test.latency_log_us[i]);
       lat_errors.push_back(std::abs(err));
       bias += err;
     }
-  }
+  };
+  model.predict_stream(test.features, score);
   model.reset_state();
 
   m.drop_accuracy =

@@ -40,8 +40,9 @@ std::pair<Dataset, Dataset> split_dataset(const Dataset& dataset,
                                           double train_fraction);
 
 /// Streams the test set through the model (fresh hidden state) and
-/// scores both heads. Resets the model's streaming state before and
-/// after.
+/// scores both heads. Latency errors are measured in the model's own
+/// normalization frame (the statistics it was trained with), not the
+/// test split's. Resets the model's streaming state before and after.
 EvalMetrics evaluate_micro_model(MicroModel& model, const Dataset& test);
 
 }  // namespace esim::approx

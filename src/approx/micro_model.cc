@@ -129,7 +129,11 @@ double MicroModel::denormalize_latency(double head_output) const {
 
 double MicroModel::normalize_latency(double latency_seconds) const {
   const double us = std::max(latency_seconds * 1e6, 1e-3);
-  return (std::log(us) - norm_.at(0, 0)) / norm_.at(0, 1);
+  return normalize_log_latency(std::log(us));
+}
+
+double MicroModel::normalize_log_latency(double log_us) const {
+  return (log_us - norm_.at(0, 0)) / norm_.at(0, 1);
 }
 
 MicroModel::Prediction MicroModel::predict(

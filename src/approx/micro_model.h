@@ -24,6 +24,8 @@
 // training accessors throw).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -86,6 +88,28 @@ class MicroModel : public ml::Module {
   /// Pre-sizes the session's batch workspace for predict_batch(n <= max_n).
   void reserve_batch(std::size_t max_n);
 
+  /// Streams `rows` in order through predict_batch, a fixed-size chunk at
+  /// a time, and calls visit(i, prediction) for each row i: the values
+  /// (and final recurrent state) of rows.size() predict() calls. The
+  /// chunk buffers live on the stack, so a sweep over a whole dataset
+  /// allocates nothing beyond the session's batch workspace.
+  template <typename Visit>
+  void predict_stream(std::span<const PacketFeatures> rows, Visit&& visit) {
+    constexpr std::size_t kChunk = 64;
+    constexpr std::size_t kDim = PacketFeatures::kDim;
+    std::array<double, kChunk * kDim> chunk;
+    std::array<Prediction, kChunk> preds;
+    for (std::size_t lo = 0; lo < rows.size(); lo += kChunk) {
+      const std::size_t n = std::min(kChunk, rows.size() - lo);
+      for (std::size_t t = 0; t < n; ++t) {
+        std::copy(rows[lo + t].v.begin(), rows[lo + t].v.end(),
+                  chunk.begin() + t * kDim);
+      }
+      predict_batch({chunk.data(), n * kDim}, preds);
+      for (std::size_t t = 0; t < n; ++t) visit(lo + t, preds[t]);
+    }
+  }
+
   /// The naive Tensor step() path, kept as the reference implementation
   /// for the bit-identity contract (and the baseline of
   /// bench/bench_inference). Streams its own hidden state, separate from
@@ -108,6 +132,10 @@ class MicroModel : public ml::Module {
 
   /// Converts a latency in seconds to the normalized training target.
   double normalize_latency(double latency_seconds) const;
+
+  /// Converts ln(latency in microseconds), the Dataset's latency column,
+  /// to the normalized training target.
+  double normalize_log_latency(double log_us) const;
 
   /// False for models built by load_inference(): they carry only the
   /// compiled session, no training machinery.

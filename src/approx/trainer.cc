@@ -42,19 +42,21 @@ TrainReport train_micro_model(MicroModel& model, const Dataset& dataset,
   ml::Linear& drop_head = model.drop_head();
   ml::Linear& latency_head = model.latency_head();
 
+  // Batch workspace, reused across batches: every element is rewritten
+  // before it is read.
+  std::vector<std::size_t> starts(B);
+  std::vector<ml::Tensor> xs(T, ml::Tensor{B, PacketFeatures::kDim});
+  std::vector<ml::Tensor> drop_t(T, ml::Tensor{B, 1});
+  std::vector<ml::Tensor> lat_t(T, ml::Tensor{B, 1});
+  std::vector<ml::Tensor> mask_t(T, ml::Tensor{B, 1});
+  std::vector<ml::Tensor> dhs(T);
+
   for (std::size_t batch = 0; batch < config.batches; ++batch) {
     // Sample B random sequence starts.
-    std::vector<std::size_t> starts(B);
     for (auto& s : starts) s = rng.uniform_int(N - T);
 
     // Assemble per-timestep tensors.
-    std::vector<ml::Tensor> xs(T);
-    std::vector<ml::Tensor> drop_t(T), lat_t(T), mask_t(T);
     for (std::size_t t = 0; t < T; ++t) {
-      xs[t] = ml::Tensor{B, PacketFeatures::kDim};
-      drop_t[t] = ml::Tensor{B, 1};
-      lat_t[t] = ml::Tensor{B, 1};
-      mask_t[t] = ml::Tensor{B, 1};
       for (std::size_t b = 0; b < B; ++b) {
         const std::size_t row = starts[b] + t;
         for (std::size_t k = 0; k < PacketFeatures::kDim; ++k) {
@@ -76,7 +78,6 @@ TrainReport train_micro_model(MicroModel& model, const Dataset& dataset,
     const auto hs = trunk.forward(xs, *state, cache);
 
     double drop_loss = 0.0, lat_loss = 0.0;
-    std::vector<ml::Tensor> dhs(T);
     for (std::size_t t = 0; t < T; ++t) {
       const ml::Tensor logits = drop_head.forward(hs[t]);
       const ml::Tensor lat_pred = latency_head.forward(hs[t]);
@@ -108,12 +109,12 @@ TrainReport train_micro_model(MicroModel& model, const Dataset& dataset,
   // wrote through the training tensors behind the compiled copy).
   model.recompile();
 
-  // Evaluation sweep: streaming predictions over the dataset.
+  // Evaluation sweep: streaming predictions over the dataset, a chunk of
+  // predict_batch at a time.
   model.reset_state();
   std::size_t correct = 0, delivered = 0;
   double mae = 0.0;
-  for (std::size_t i = 0; i < N; ++i) {
-    const auto pred = model.predict(dataset.features[i]);
+  const auto score = [&](std::size_t i, const MicroModel::Prediction& pred) {
     const bool predicted_drop = pred.drop_probability > 0.5;
     const bool was_drop = dataset.drop_targets[i] > 0.5;
     if (predicted_drop == was_drop) ++correct;
@@ -125,7 +126,8 @@ TrainReport train_micro_model(MicroModel& model, const Dataset& dataset,
                       target_norm);
       ++delivered;
     }
-  }
+  };
+  model.predict_stream(dataset.features, score);
   report.drop_accuracy = static_cast<double>(correct) /
                          static_cast<double>(N);
   report.latency_mae =

@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <chrono>
+#include <future>
 #include <stdexcept>
 
 #include "approx/dataset.h"
@@ -172,16 +173,27 @@ TrainedModels train_from_trace(const ExperimentConfig& config,
   mcfg.seed += 1;
   out.egress = std::make_unique<approx::MicroModel>(mcfg);
 
+  // The two directions share nothing mutable — each has its own model,
+  // datasets and batch-sampling Rng — so egress trains on a second thread
+  // while ingress trains on this one; every weight comes out as it would
+  // sequentially. The future's destructor joins the worker if ingress
+  // throws, and get() rethrows a worker exception.
+  const auto train = [&config, eval](approx::MicroModel& model,
+                                     const approx::Dataset& train_ds,
+                                     const approx::Dataset& test_ds,
+                                     approx::EvalMetrics& metrics) {
+    approx::TrainReport report =
+        approx::train_micro_model(model, train_ds, config.train);
+    if (eval) metrics = approx::evaluate_micro_model(model, test_ds);
+    return report;
+  };
+  auto egress = std::async(std::launch::async, [&] {
+    return train(*out.egress, egress_ds, egress_test, out.egress_eval);
+  });
   out.ingress_report =
-      approx::train_micro_model(*out.ingress, ingress_ds, config.train);
-  out.egress_report =
-      approx::train_micro_model(*out.egress, egress_ds, config.train);
-  if (eval) {
-    out.ingress_eval =
-        approx::evaluate_micro_model(*out.ingress, ingress_test);
-    out.egress_eval = approx::evaluate_micro_model(*out.egress, egress_test);
-    out.has_eval = true;
-  }
+      train(*out.ingress, ingress_ds, ingress_test, out.ingress_eval);
+  out.egress_report = egress.get();
+  out.has_eval = eval;
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "ml/activations.h"
+#include "ml/kernels.h"
 
 namespace esim::ml {
 
@@ -28,41 +29,27 @@ GruLayer::State GruLayer::initial_state(std::size_t batch) const {
   return State{Tensor{batch, hidden_}};
 }
 
-Tensor GruLayer::step(const Tensor& x, State& state,
-                      StepCache* cache) const {
+Tensor GruLayer::step(Tensor x, State& state, StepCache* cache) const {
   const std::size_t B = x.rows();
   const std::size_t H = hidden_;
 
-  Tensor gi = matmul_nt(x, w_ih_);        // [B x 3H]
-  add_row_bias(gi, b_ih_);
-  Tensor gh = matmul_nt(state.h, w_hh_);  // [B x 3H]
-  add_row_bias(gh, b_hh_);
-
+  const Tensor gi = matmul_nt(x, w_ih_);        // [B x 3H]
+  const Tensor gh = matmul_nt(state.h, w_hh_);  // [B x 3H]
   Tensor r{B, H}, z{B, H}, n{B, H}, hn_lin{B, H}, h_new{B, H};
-  for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t j = 0; j < H; ++j) {
-      const double rv = sigmoid(gi.at(b, j) + gh.at(b, j));
-      const double zv = sigmoid(gi.at(b, H + j) + gh.at(b, H + j));
-      const double hl = gh.at(b, 2 * H + j);
-      const double nv = tanh_act(gi.at(b, 2 * H + j) + rv * hl);
-      r.at(b, j) = rv;
-      z.at(b, j) = zv;
-      n.at(b, j) = nv;
-      hn_lin.at(b, j) = hl;
-      h_new.at(b, j) = (1.0 - zv) * nv + zv * state.h.at(b, j);
-    }
-  }
+  kernels::gru_forward(B, H, gi.data(), gh.data(), b_ih_.data(),
+                       b_hh_.data(), state.h.data(), r.data(), z.data(),
+                       n.data(), hn_lin.data(), h_new.data());
 
   if (cache != nullptr) {
-    cache->x = x;
-    cache->h_prev = state.h;
-    cache->r = r;
-    cache->z = z;
-    cache->n = n;
+    cache->x = std::move(x);
+    cache->h_prev = std::move(state.h);
+    cache->r = std::move(r);
+    cache->z = std::move(z);
+    cache->n = std::move(n);
     cache->hn_lin = std::move(hn_lin);
   }
   state.h = h_new;
-  return state.h;
+  return h_new;
 }
 
 GruLayer::StepGrad GruLayer::step_backward(const StepCache& cache,
@@ -148,7 +135,7 @@ Gru::State Gru::initial_state(std::size_t batch) const {
 Tensor Gru::step(const Tensor& x, State& state) const {
   Tensor h = x;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    h = layers_[l].step(h, state.layers[l], nullptr);
+    h = layers_[l].step(std::move(h), state.layers[l], nullptr);
   }
   return h;
 }
@@ -162,7 +149,8 @@ std::vector<Tensor> Gru::forward(const std::vector<Tensor>& xs,
   for (std::size_t t = 0; t < xs.size(); ++t) {
     Tensor h = xs[t];
     for (std::size_t l = 0; l < layers_.size(); ++l) {
-      h = layers_[l].step(h, state.layers[l], &cache.steps[t][l]);
+      h = layers_[l].step(std::move(h), state.layers[l],
+                          &cache.steps[t][l]);
     }
     hs.push_back(std::move(h));
   }

@@ -41,8 +41,9 @@ class GruLayer : public Module {
   State initial_state(std::size_t batch) const;
 
   /// One timestep; updates `state`, returns the new hidden output, fills
-  /// `cache` when non-null.
-  Tensor step(const Tensor& x, State& state, StepCache* cache) const;
+  /// `cache` when non-null (moving `x`, the previous state and the gate
+  /// tensors into it).
+  Tensor step(Tensor x, State& state, StepCache* cache) const;
 
   /// Backward through one cached step given dL/dh'. Accumulates
   /// parameter gradients and returns input/previous-state gradients.

@@ -1,7 +1,8 @@
 // The inference half of the train/infer split (DESIGN.md §8).
 //
-// Training keeps the autograd Tensor/StepCache machinery in ml/lstm.h and
-// ml/gru.h. Inference runs through an InferenceSession: a compiled
+// Training keeps the autograd Tensor/StepCache structure in ml/lstm.h and
+// ml/gru.h; both halves run their arithmetic on the dispatched kernels of
+// ml/kernels.h. Inference runs through an InferenceSession: a compiled
 // forward plan over one recurrent trunk plus optional fused linear heads.
 // The session preallocates a single contiguous workspace (gate scratch,
 // per-layer hidden/cell state, head outputs) at construction and steps
@@ -17,9 +18,9 @@
 // products run as independent accumulator chains — each row still sums
 // p = 0..n-1 in exactly the reference order, so each result is identical
 // to the last bit. SIMD variants (dispatched at runtime, see
-// inference.cc) put those independent rows in vector lanes; lane
+// ml/kernels.h) put those independent rows in vector lanes; lane
 // arithmetic is the same IEEE mul-then-add as the scalar reference and
-// FMA contraction is disabled for this translation unit.
+// FMA contraction is disabled for the ml library.
 // tests/inference_session_test.cc holds this contract for both trunks,
 // multi-layer stacks, and serialized-then-reloaded models.
 //

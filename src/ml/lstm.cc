@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "ml/activations.h"
+#include "ml/kernels.h"
 
 namespace esim::ml {
 
@@ -28,55 +29,31 @@ LstmLayer::State LstmLayer::initial_state(std::size_t batch) const {
   return State{Tensor{batch, hidden_}, Tensor{batch, hidden_}};
 }
 
-Tensor LstmLayer::step(const Tensor& x, State& state,
-                       StepCache* cache) const {
+Tensor LstmLayer::step(Tensor x, State& state, StepCache* cache) const {
   const std::size_t B = x.rows();
   const std::size_t H = hidden_;
 
-  Tensor gates = matmul_nt(x, w_ih_);           // [B x 4H]
-  gates.add(matmul_nt(state.h, w_hh_));
-  add_row_bias(gates, b_);
-
-  Tensor i{B, H}, f{B, H}, g{B, H}, o{B, H}, c{B, H}, tanh_c{B, H};
-  for (std::size_t r = 0; r < B; ++r) {
-    for (std::size_t j = 0; j < H; ++j) {
-      const double gi = sigmoid(gates.at(r, j));
-      const double gf = sigmoid(gates.at(r, H + j));
-      const double gg = tanh_act(gates.at(r, 2 * H + j));
-      const double go = sigmoid(gates.at(r, 3 * H + j));
-      const double cv = gf * state.c.at(r, j) + gi * gg;
-      const double tc = tanh_act(cv);
-      i.at(r, j) = gi;
-      f.at(r, j) = gf;
-      g.at(r, j) = gg;
-      o.at(r, j) = go;
-      c.at(r, j) = cv;
-      tanh_c.at(r, j) = tc;
-    }
-  }
-
-  Tensor h{B, H};
-  for (std::size_t r = 0; r < B; ++r) {
-    for (std::size_t j = 0; j < H; ++j) {
-      h.at(r, j) = o.at(r, j) * tanh_c.at(r, j);
-    }
-  }
+  const Tensor gi = matmul_nt(x, w_ih_);        // [B x 4H]
+  const Tensor gh = matmul_nt(state.h, w_hh_);  // [B x 4H]
+  Tensor i{B, H}, f{B, H}, g{B, H}, o{B, H}, c{B, H}, tanh_c{B, H}, h{B, H};
+  kernels::lstm_forward(B, H, gi.data(), gh.data(), b_.data(),
+                        state.c.data(), i.data(), f.data(), g.data(),
+                        o.data(), c.data(), tanh_c.data(), h.data());
 
   if (cache != nullptr) {
-    cache->x = x;
-    cache->h_prev = state.h;
-    cache->c_prev = state.c;
-    cache->i = i;
-    cache->f = f;
-    cache->g = g;
-    cache->o = o;
+    cache->x = std::move(x);
+    cache->h_prev = std::move(state.h);
+    cache->c_prev = std::move(state.c);
+    cache->i = std::move(i);
+    cache->f = std::move(f);
+    cache->g = std::move(g);
+    cache->o = std::move(o);
     cache->c = c;
-    cache->tanh_c = tanh_c;
+    cache->tanh_c = std::move(tanh_c);
   }
-
   state.h = h;
   state.c = std::move(c);
-  return state.h;
+  return h;
 }
 
 LstmLayer::StepGrad LstmLayer::step_backward(const StepCache& cache,
@@ -152,7 +129,7 @@ Lstm::State Lstm::initial_state(std::size_t batch) const {
 Tensor Lstm::step(const Tensor& x, State& state) const {
   Tensor h = x;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    h = layers_[l].step(h, state.layers[l], nullptr);
+    h = layers_[l].step(std::move(h), state.layers[l], nullptr);
   }
   return h;
 }
@@ -167,7 +144,8 @@ std::vector<Tensor> Lstm::forward(const std::vector<Tensor>& xs,
   for (std::size_t t = 0; t < xs.size(); ++t) {
     Tensor h = xs[t];
     for (std::size_t l = 0; l < layers_.size(); ++l) {
-      h = layers_[l].step(h, state.layers[l], &cache.steps[t][l]);
+      h = layers_[l].step(std::move(h), state.layers[l],
+                          &cache.steps[t][l]);
     }
     hs.push_back(std::move(h));
   }

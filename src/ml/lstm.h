@@ -44,8 +44,9 @@ class LstmLayer : public Module {
 
   /// One timestep. `x` is [B x input]; updates `state` in place and
   /// returns the new hidden output ([B x H]); when `cache` is non-null it
-  /// is filled for a later step_backward.
-  Tensor step(const Tensor& x, State& state, StepCache* cache) const;
+  /// is filled for a later step_backward, by moving `x`, the previous
+  /// state and the gate tensors into it.
+  Tensor step(Tensor x, State& state, StepCache* cache) const;
 
   /// Backward through one cached step. `dh`/`dc` are the gradients
   /// arriving at this step's h/c outputs (dc from the next timestep; pass

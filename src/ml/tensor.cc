@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ml/kernels.h"
+
 namespace esim::ml {
 
 Tensor::Tensor(std::size_t rows, std::size_t cols)
@@ -66,16 +68,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
     throw std::invalid_argument("matmul: inner dimensions differ");
   }
   Tensor c{a.rows(), b.cols()};
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const double av = a.at(i, p);
-      if (av == 0.0) continue;
-      const double* brow = b.data() + p * n;
-      double* crow = c.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  kernels::matmul_skip_zero(a.data(), a.cols(), 1, b.data(), a.rows(),
+                            a.cols(), b.cols(), c.data());
   return c;
 }
 
@@ -85,13 +79,21 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   }
   Tensor c{a.rows(), b.rows()};
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
+  // B's rows are the weight rows of the packed inference kernels: pack
+  // whole groups of eight into a per-thread scratch buffer and run the
+  // rows of A as lanes; the ragged tail rows take the scalar dot. A
+  // one-row A (the reference step) gains nothing from lanes that the
+  // pack pass does not cost, so it keeps the scalar dot throughout.
+  const std::size_t groups = m > 1 ? n / kernels::kGroup : 0;
+  const std::size_t full = groups * kernels::kGroup;
+  thread_local std::vector<double> packed;
+  packed.resize(full * k);
+  kernels::pack_rows(b.data(), groups, k, packed.data());
+  kernels::matmul_packed(packed.data(), groups, k, a.data(), k, m, c.data(),
+                         n);
   for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a.data() + i * k;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double* brow = b.data() + j * k;
-      double s = 0;
-      for (std::size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      c.at(i, j) = s;
+    for (std::size_t j = full; j < n; ++j) {
+      c.at(i, j) = kernels::dot(b.data() + j * k, k, a.data() + i * k);
     }
   }
   return c;
@@ -102,17 +104,8 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
     throw std::invalid_argument("matmul_tn: inner dimensions differ");
   }
   Tensor c{a.cols(), b.cols()};
-  const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  for (std::size_t p = 0; p < k; ++p) {
-    const double* arow = a.data() + p * m;
-    const double* brow = b.data() + p * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const double av = arow[i];
-      if (av == 0.0) continue;
-      double* crow = c.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  kernels::matmul_skip_zero(a.data(), 1, a.cols(), b.data(), a.cols(),
+                            a.rows(), b.cols(), c.data());
   return c;
 }
 
@@ -120,9 +113,11 @@ void add_row_bias(Tensor& m, const Tensor& bias) {
   if (bias.rows() != 1 || bias.cols() != m.cols()) {
     throw std::invalid_argument("add_row_bias: bias shape mismatch");
   }
+  const std::size_t n = m.cols();
+  const double* b = bias.data();
   for (std::size_t i = 0; i < m.rows(); ++i) {
-    double* row = m.data() + i * m.cols();
-    for (std::size_t j = 0; j < m.cols(); ++j) row[j] += bias.at(0, j);
+    double* row = m.data() + i * n;
+    for (std::size_t j = 0; j < n; ++j) row[j] += b[j];
   }
 }
 

@@ -76,14 +76,19 @@ class Tensor {
   std::vector<double> data_;
 };
 
-/// C = A (m x k) * B (k x n).
+// The products sum each output element serially in p order from +0.0,
+// on the dispatched kernels of ml/kernels.h (bit-identical across ISAs).
+
+/// C = A (m x k) * B (k x n). Terms whose A element is 0.0 (either sign)
+/// are skipped, so a zero times an inf or NaN in B contributes nothing.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
 /// C = A (m x k) * B^T where B is (n x k). The natural layout for weight
-/// matrices stored [out x in].
+/// matrices stored [out x in]. No terms are skipped.
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
-/// C = A^T (k x m -> m x k) * B (k x n). Used in backward passes.
+/// C = A^T (k x m -> m x k) * B (k x n). Used in backward passes. Skips
+/// zero A terms like matmul.
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
 /// Adds a 1 x n bias row to every row of a (m x n) matrix, in place.

@@ -163,6 +163,47 @@ TEST(Evaluation, UntrainedModelIsNearChance) {
   EXPECT_LT(metrics.drop_auc, 0.8);
 }
 
+TEST(Evaluation, LatencyErrorsUseTheModelsNormalization) {
+  // The tail of the trace is two log-units slower than the head, so the
+  // test split's own statistics differ from the training split's.
+  sim::Rng rng{33};
+  auto ds = synthetic_dataset(1200, rng);
+  for (std::size_t i = 900; i < ds.size(); ++i) {
+    if (ds.drop_targets[i] < 0.5) ds.latency_log_us[i] += 2.0;
+  }
+  const auto [train, test] = approx::split_dataset(ds, 0.75);
+  ASSERT_GT(std::abs(test.mean_log_us - train.mean_log_us), 1.5);
+
+  approx::MicroModel::Config mcfg;
+  mcfg.hidden = 8;
+  mcfg.layers = 1;
+  approx::MicroModel model{mcfg};
+  model.set_latency_normalization(train.mean_log_us, train.std_log_us);
+  const auto metrics = approx::evaluate_micro_model(model, test);
+
+  // Expected errors, both sides in the training frame.
+  model.reset_state();
+  double abs_sum = 0.0, signed_sum = 0.0;
+  std::size_t delivered = 0;
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    const auto pred = model.predict(test.features[i]);
+    if (test.drop_targets[i] > 0.5) continue;
+    const double err =
+        model.normalize_latency(pred.latency_seconds) -
+        (test.latency_log_us[i] - train.mean_log_us) / train.std_log_us;
+    abs_sum += std::abs(err);
+    signed_sum += err;
+    ++delivered;
+  }
+  ASSERT_GT(delivered, 0u);
+  const double n = static_cast<double>(delivered);
+  EXPECT_NEAR(metrics.latency_mae, abs_sum / n, 1e-12);
+  EXPECT_NEAR(metrics.latency_bias, signed_sum / n, 1e-12);
+  // The slowdown shows up as under-prediction; scoring against the test
+  // split's own statistics would have centred it away.
+  EXPECT_LT(metrics.latency_bias, -1.0);
+}
+
 TEST(Evaluation, EmptyTestSetIsHarmless) {
   approx::MicroModel::Config mcfg;
   mcfg.hidden = 4;
