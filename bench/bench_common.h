@@ -7,9 +7,11 @@
 // the shapes are the reproduction target (see EXPERIMENTS.md).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 namespace esim::bench {
 
@@ -18,6 +20,22 @@ namespace esim::bench {
 inline bool quick_mode() {
   const char* v = std::getenv("ESIM_BENCH_QUICK");
   return v != nullptr && v[0] != '\0' && v[0] != '0';
+}
+
+/// Median and range of repeated measurements.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// Spread of `v` (all zero when empty).
+inline Spread spread_of(std::vector<double> v) {
+  if (v.empty()) return {};
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return {n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]), v.front(),
+          v.back()};
 }
 
 inline void print_header(const std::string& figure,

@@ -65,6 +65,8 @@ using esim::approx::PacketFeatures;
 using esim::bench::print_header;
 using esim::bench::print_note;
 using esim::bench::quick_mode;
+using esim::bench::Spread;
+using esim::bench::spread_of;
 using esim::ml::TrunkKind;
 
 namespace sim = esim::sim;
@@ -340,20 +342,6 @@ esim::approx::Dataset make_training_dataset(std::size_t n,
   ds.std_log_us = std::sqrt(sq / static_cast<double>(delivered) -
                             ds.mean_log_us * ds.mean_log_us);
   return ds;
-}
-
-/// Median and range of repeated measurements.
-struct Spread {
-  double median = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-Spread spread_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return {n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]), v.front(),
-          v.back()};
 }
 
 struct TrainRow {

@@ -124,8 +124,11 @@ echo "=== preset: tsan — test (threaded suites) ==="
 # TrainKernels covers train_from_trace training the ingress and egress
 # models on two threads (per-thread packing scratch, shared read-only
 # trace and config).
+# RoundBarrier covers the PDES round barrier on its own: completion-step
+# visibility, spin-then-sleep hand-off, oversubscribed party counts.
+# Partition covers count-bounded inbox drains (ring + overflow spills).
 ctest --preset tsan "${jobs}" -R \
-  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainKernels'
+  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainKernels|RoundBarrier|Partition\.'
 
 if [[ "${ESIM_CHECK_COVERAGE:-0}" == "1" ]]; then
   echo "=== preset: coverage — configure ==="

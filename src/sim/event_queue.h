@@ -11,20 +11,20 @@
 // with equal (time, key); zero-key ties break in scheduling order,
 // matching the behaviour of OMNeT++'s FES that the paper's prototype
 // extends. That (time, key, seq) total order is a determinism contract:
-// ParallelEngine::drain_inbox relies on it to make cross-partition message
+// Partition::drain_inbox (sim/parallel.h) relies on it to make cross-partition message
 // delivery reproducible, and the differential harness (src/check) verifies
 // it digest-for-digest across engines, so any FES rework must preserve it
 // bit-for-bit.
 //
-// Layout: heap entries are 24-byte (time, seq, slot, generation) records —
-// small enough that a 4-ary heap keeps parent and children within one or
-// two cache lines — while the callback payloads live in a side pool of
+// Layout: heap entries are 32-byte (time, key, seq, slot, generation)
+// records — small enough that a 4-ary heap keeps a node's four children
+// within two cache lines — while the callback payloads live in a side pool of
 // generation-tagged slots. A handle encodes (slot, generation); cancelling
 // bumps the slot's generation, which simultaneously invalidates the handle,
 // marks the heap entry dead (its recorded generation no longer matches),
 // and frees the slot for reuse. Cancellation destroys the closure
 // immediately — cancel-heavy TCP timer churn never pins dead closures —
-// and the dead 24-byte heap entries are pruned eagerly at the top and
+// and the dead heap entries are pruned eagerly at the top and
 // compacted wholesale when they outnumber the live ones.
 #pragma once
 

@@ -1,13 +1,16 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <barrier>
 #include <chrono>
 #include <exception>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -16,6 +19,23 @@ namespace esim::sim {
 namespace {
 
 constexpr std::int64_t kNeverNs = std::numeric_limits<std::int64_t>::max();
+
+/// Tells the core this is a spin-wait (x86 `pause`): saves power and
+/// yields pipeline resources to the sibling hyperthread.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Monotonic clock reading in nanoseconds.
+std::int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 /// a + b for non-negative int64 without overflow (saturates at max).
 std::int64_t saturating_add(std::int64_t a, std::int64_t b) {
@@ -32,7 +52,8 @@ Partition::Partition(std::uint32_t index, std::uint64_t seed,
       sim_{seed},
       ring_capacity_{ring_capacity},
       rings_(num_sources),
-      drain_runs_(num_sources) {
+      drain_runs_(num_sources),
+      outbox_(num_sources) {
   for (auto& r : rings_) r.store(nullptr, std::memory_order_relaxed);
 }
 
@@ -54,9 +75,9 @@ SpscQueue<CrossMessage>* Partition::ring_for(std::uint32_t source) {
   return ring;
 }
 
-void Partition::post(CrossMessage m) {
+bool Partition::post(CrossMessage m) {
   SpscQueue<CrossMessage>* ring = ring_for(m.source_partition);
-  if (ring->try_push(std::move(m))) return;
+  if (ring->try_push(std::move(m))) return false;
   // Ring full: spill to the overflow list. Deterministic order is
   // restored at drain time (messages re-join their source's run), so
   // backpressure degrades throughput, never correctness.
@@ -64,26 +85,50 @@ void Partition::post(CrossMessage m) {
   if (overflow_counter_ != nullptr) overflow_counter_->inc();
   std::lock_guard lock{overflow_mu_};
   overflow_.push_back(std::move(m));
+  return true;
 }
 
-std::size_t Partition::drain_inbox() {
+std::size_t Partition::drain_inbox(std::span<const InboxCount> published) {
   const std::uint32_t S = static_cast<std::uint32_t>(rings_.size());
 
-  // Collect each source's backlog. Rings are quiescent here (drains only
-  // happen at barriers), so try_pop empties them exactly.
+  // Collect each source's counted messages. A ring is FIFO and earlier
+  // rounds took exactly their own counts, so the oldest `messages -
+  // spilled` entries are this round's; anything behind them was posted
+  // by the source's next window and stays for the next drain.
+  bool any_spilled = false;
   for (std::uint32_t s = 0; s < S; ++s) {
+    const InboxCount& c = published[s];
+    any_spilled |= c.spilled != 0;
+    const std::uint64_t on_ring = c.messages - c.spilled;
+    if (on_ring == 0) continue;
     SpscQueue<CrossMessage>* ring = rings_[s].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
     auto& run = drain_runs_[s];
     CrossMessage m;
-    while (ring->try_pop(m)) run.push_back(std::move(m));
-  }
-  if (overflow_posts_.load(std::memory_order_relaxed) != 0) {
-    std::lock_guard lock{overflow_mu_};
-    for (auto& m : overflow_) {
-      drain_runs_[m.source_partition].push_back(std::move(m));
+    for (std::uint64_t n = 0; n < on_ring; ++n) {
+      if (ring == nullptr || !ring->try_pop(m)) {
+        throw std::logic_error(
+            "drain_inbox: fewer ring messages than published");
+      }
+      run.push_back(std::move(m));
     }
-    overflow_.clear();
+  }
+  if (any_spilled) {
+    // Each source's spills sit in the overflow list in posting order, so
+    // its oldest `spilled` entries are this round's; the rest stay put.
+    std::vector<std::uint64_t> left(S);
+    for (std::uint32_t s = 0; s < S; ++s) left[s] = published[s].spilled;
+    std::lock_guard lock{overflow_mu_};
+    auto keep = overflow_.begin();
+    for (auto it = overflow_.begin(); it != overflow_.end(); ++it) {
+      if (left[it->source_partition] > 0) {
+        --left[it->source_partition];
+        drain_runs_[it->source_partition].push_back(std::move(*it));
+      } else {
+        if (keep != it) *keep = std::move(*it);
+        ++keep;
+      }
+    }
+    overflow_.erase(keep, overflow_.end());
   }
 
   // Each source posts in its own execution order (source_seq ascending),
@@ -135,8 +180,75 @@ std::size_t Partition::drain_inbox() {
   return total;
 }
 
+RoundBarrier::RoundBarrier(std::uint32_t parties)
+    : parties_{parties},
+      spin_{parties <= std::max(1u, std::thread::hardware_concurrency())},
+      spin_limit_ns_{spin_ ? spin_budget_ns() : 0} {}
+
+// The spin budget is the price of the alternative. A waiter that sleeps
+// pays a futex wake-up on release: the releasing thread's notify syscall
+// plus scheduler latency before the waiter runs again, 16/20/51 us
+// (p10/p50/p90) on a 4-vCPU x86 VM. Spinning for about that long before
+// sleeping makes every wait cost at most twice what an oracle that knew
+// the wait's length would pay (the classic spin-then-block bound), while
+// the round's typical wait — a few us of window-length imbalance — ends
+// inside the spin. The first half spins on `pause`; the second yields
+// the core each time, so a co-scheduled job is not starved. When waits
+// keep outlasting the budget — the host is shared and peers are
+// descheduled — spinning only burns the cores they need, so the limit
+// halves per such wait and doubles back (from budget/16) once waits fit.
+void RoundBarrier::wait_past(std::uint32_t phase) {
+  const std::int64_t budget = spin_budget_ns();
+  const std::int64_t limit = spin_limit_ns_.load(std::memory_order_relaxed);
+  const std::int64_t start = now_ns();
+  if (limit > 0) {
+    const std::int64_t pause_until = start + std::min(budget / 2, limit);
+    const std::int64_t yield_until = start + limit;
+    for (std::uint32_t n = 1;; ++n) {
+      if (phase_.load(std::memory_order_acquire) != phase) {
+        if (limit < budget) {
+          spin_limit_ns_.store(std::min(2 * limit, budget),
+                               std::memory_order_relaxed);
+        }
+        return;
+      }
+      cpu_relax();
+      if (n % 16 != 0) continue;  // read the clock every 16 pauses
+      const std::int64_t now = now_ns();
+      if (now >= yield_until) break;
+      if (now >= pause_until) std::this_thread::yield();
+    }
+  }
+  // Sleep. Registering as a sleeper before the final check pairs with
+  // release()'s store-then-load (both seq_cst): either this thread sees
+  // the new phase or the releaser sees the sleeper and notifies.
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  while (phase_.load(std::memory_order_seq_cst) == phase) {
+    phase_.wait(phase, std::memory_order_seq_cst);
+  }
+  sleepers_.fetch_sub(1, std::memory_order_relaxed);
+  if (!spin_) return;
+  // Judge the wait by when the phase ended, not by when this thread woke:
+  // the wake-up latency is the cost of sleeping, not part of the wait.
+  const std::int64_t waited =
+      released_ns_.load(std::memory_order_relaxed) - start;
+  if (waited < budget) {
+    spin_limit_ns_.store(std::clamp(2 * limit, budget / 16, budget),
+                         std::memory_order_relaxed);
+  } else if (limit > 0) {
+    spin_limit_ns_.store(limit > budget / 16 ? limit / 2 : 0,
+                         std::memory_order_relaxed);
+  }
+}
+
+void RoundBarrier::release(std::uint32_t next_phase) {
+  if (spin_) released_ns_.store(now_ns(), std::memory_order_relaxed);
+  phase_.store(next_phase, std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_seq_cst) != 0) phase_.notify_all();
+}
+
 ParallelEngine::ParallelEngine(Config config)
-    : config_{config}, send_seq_(config.num_partitions) {
+    : config_{config} {
   if (config_.num_partitions == 0) {
     throw std::invalid_argument("ParallelEngine: need at least 1 partition");
   }
@@ -148,7 +260,6 @@ ParallelEngine::ParallelEngine(Config config)
   for (std::uint32_t i = 0; i < P; ++i) {
     partitions_.push_back(std::make_unique<Partition>(
         i, config_.seed + i, P, config_.ring_capacity));
-    send_seq_[i].store(0, std::memory_order_relaxed);
   }
   pair_lookahead_ns_.assign(static_cast<std::size_t>(P) * P,
                             config_.lookahead.ns());
@@ -284,11 +395,14 @@ void ParallelEngine::send_cross(std::uint32_t from, std::uint32_t to,
                              : SimTime::from_ns(pair_ns).to_string()) +
         ")");
   }
-  const std::uint64_t seq =
-      send_seq_[from].fetch_add(1, std::memory_order_relaxed);
-  partitions_.at(to)->post(
+  const std::uint64_t seq = src.send_seq_++;
+  const bool spilled = partitions_.at(to)->post(
       CrossMessage{deliver_at, key, from, seq, std::move(fn)});
-  round_messages_.fetch_add(1, std::memory_order_relaxed);
+  // Published to the next round barrier: `to` drains exactly this count.
+  Partition::Outbox& out = src.outbox_[to];
+  ++out.count.messages;
+  if (spilled) ++out.count.spilled;
+  out.min_deliver_ns = std::min(out.min_deliver_ns, deliver_at.ns());
   if (telemetry_ != nullptr && !pair_messages_.empty()) {
     pair_counter(from, to)->inc();
   }
@@ -315,26 +429,49 @@ void ParallelEngine::run_until(SimTime end) {
   const bool per_pair = config_.window_mode == WindowMode::per_pair;
   if (per_pair && pair_reach_dirty_) recompute_pair_reach();
 
-  std::atomic<std::int64_t> min_next{kNeverNs};
-  // Published by each partition before the window barrier, read by every
-  // partition after it (the barrier orders the accesses).
+  // Written by partition i before each barrier, read by the completion
+  // step: its FES head (after its window) and whether it has failed.
+  std::vector<std::int64_t> fes_next_ns(P, kNeverNs);
+  std::vector<char> failed(P, 0);
+  // Written by the completion step, read by every partition after the
+  // barrier: drain counts (row i = what partition i drains, by source),
+  // each partition's post-drain next-event time, and the round's verdict.
+  std::vector<Partition::InboxCount> drain_counts(
+      static_cast<std::size_t>(P) * P);
   std::vector<std::int64_t> next_ns(P, kNeverNs);
   SimTime global_window_end;
   bool done = false;
 
-  auto on_window_computed = [&]() noexcept {
-    // Runs on exactly one thread while the others wait in the barrier:
-    // decides run termination (and, in global mode, the shared window) and
-    // models the MPI synchronization cost.
-    const std::int64_t next = min_next.load(std::memory_order_relaxed);
+  auto on_round = [&]() noexcept {
+    // Runs on exactly one thread while the others wait in the barrier.
+    // After its drain a partition's next event is the earlier of its own
+    // FES head and the earliest message posted to it in the last window,
+    // so every window is computed before anything is drained. A failed
+    // partition reports "never" so the run winds down.
+    std::uint64_t msgs = 0;
+    for (std::uint32_t j = 0; j < P; ++j) next_ns[j] = fes_next_ns[j];
+    for (std::uint32_t s = 0; s < P; ++s) {
+      for (std::uint32_t j = 0; j < P; ++j) {
+        Partition::Outbox& out = partitions_[s]->outbox_[j];
+        drain_counts[static_cast<std::size_t>(j) * P + s] = out.count;
+        msgs += out.count.messages;
+        next_ns[j] = std::min(next_ns[j], out.min_deliver_ns);
+        out = Partition::Outbox{};
+      }
+    }
+    std::int64_t next = kNeverNs;
+    for (std::uint32_t j = 0; j < P; ++j) {
+      if (failed[j]) next_ns[j] = kNeverNs;
+      next = std::min(next, next_ns[j]);
+    }
+    // Decides run termination (and, in global mode, the shared window)
+    // and models the MPI synchronization cost.
     if (next == kNeverNs || SimTime::from_ns(next) >= end) {
       done = true;
     } else if (!per_pair) {
       global_window_end = SimTime::from_ns(next) + config_.lookahead;
       if (global_window_end > end) global_window_end = end;
     }
-    const std::uint64_t msgs =
-        round_messages_.exchange(0, std::memory_order_relaxed);
     stats_.cross_messages += msgs;
     telemetry::trace_instant("pdes.sync_round",
                              static_cast<std::int64_t>(msgs));
@@ -347,13 +484,9 @@ void ParallelEngine::run_until(SimTime end) {
                     config_.per_message_overhead_us *
                         static_cast<double>(msgs));
     }
-    min_next.store(kNeverNs, std::memory_order_relaxed);
   };
 
-  std::barrier window_barrier(static_cast<std::ptrdiff_t>(P),
-                              on_window_computed);
-  std::barrier round_barrier(static_cast<std::ptrdiff_t>(P));
-
+  RoundBarrier barrier{P};
   std::vector<std::exception_ptr> errors(P);
 
   telemetry::Counter* const* wait_counters =
@@ -364,41 +497,40 @@ void ParallelEngine::run_until(SimTime end) {
     if (auto* trace = telemetry::TraceSession::active()) {
       trace->set_thread_name("partition " + std::to_string(idx));
     }
-    bool failed = false;
+    auto fail = [&] {
+      errors[idx] = std::current_exception();
+      failed[idx] = 1;
+    };
+    auto publish = [&] {
+      fes_next_ns[idx] = !failed[idx] && part.sim().events_pending() > 0
+                             ? part.sim().next_event_time().ns()
+                             : kNeverNs;
+    };
+    std::uint64_t waited_total = 0;
+    publish();
     for (;;) {
-      std::int64_t local_next = kNeverNs;
-      if (!failed) {
-        try {
-          part.drain_inbox();
-          if (part.sim().events_pending() > 0) {
-            local_next = part.sim().next_event_time().ns();
-          }
-        } catch (...) {
-          errors[idx] = std::current_exception();
-          failed = true;
-        }
-      }
-      next_ns[idx] = local_next;
-      // Fold into the global minimum (drives termination and the global-
-      // mode window). A failed partition reports "never" so the run winds
-      // down without deadlocking the barriers.
-      std::int64_t cur = min_next.load(std::memory_order_relaxed);
-      while (local_next < cur &&
-             !min_next.compare_exchange_weak(cur, local_next,
-                                             std::memory_order_relaxed)) {
-      }
       {
         const auto wait_start = std::chrono::steady_clock::now();
-        window_barrier.arrive_and_wait();
+        barrier.arrive_and_wait(on_round);
         const auto waited = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - wait_start)
                 .count());
-        sync_wait_ns_total_.fetch_add(waited, std::memory_order_relaxed);
+        waited_total += waited;
         if (wait_counters != nullptr) wait_counters[idx]->inc(waited);
       }
+      // The terminating round still drains, so messages posted in the
+      // last window reach the FES before the epilogue.
+      if (!failed[idx]) {
+        try {
+          part.drain_inbox(std::span{drain_counts}.subspan(
+              static_cast<std::size_t>(idx) * P, P));
+        } catch (...) {
+          fail();
+        }
+      }
       if (done) break;
-      if (!failed) {
+      if (!failed[idx]) {
         try {
           SimTime window_end = end;
           if (per_pair) {
@@ -426,13 +558,13 @@ void ParallelEngine::run_until(SimTime end) {
                 static_cast<std::uint64_t>(window_end.ns() - before));
           }
         } catch (...) {
-          errors[idx] = std::current_exception();
-          failed = true;
+          fail();
         }
       }
-      round_barrier.arrive_and_wait();
+      publish();
     }
-    if (!failed) {
+    sync_wait_ns_total_.fetch_add(waited_total, std::memory_order_relaxed);
+    if (!failed[idx]) {
       // Advance the clock to the requested end for a consistent epilogue.
       part.sim().run_until(end);
     }

@@ -34,6 +34,14 @@
 // first use: post() is wait-free on the steady state and drain_inbox()
 // merges the per-source streams instead of re-sorting one shared inbox.
 //
+// Each sync round crosses one RoundBarrier. Before it, every partition
+// publishes its FES next-event time, and the completion step folds in the
+// count and earliest delivery time of the messages each partition posted
+// to each other one during its last window — which together give every
+// partition's post-drain next-event time without draining first. After
+// it, each partition drains exactly the published counts (the producers
+// may already be posting into their next window) and runs its window.
+//
 // The paper ran OMNeT++'s MPI-based PDES across 1–4 physical machines. We
 // have threads, not a cluster, so inter-machine messaging cost is *modeled*:
 // each sync round pays a configurable overhead (base cost per round plus a
@@ -47,8 +55,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -91,20 +101,30 @@ class Partition {
   /// The sequential engine that owns this partition's components.
   Simulator& sim() { return sim_; }
 
+  /// What one source posted to this partition in one window.
+  struct InboxCount {
+    std::uint64_t messages = 0;  ///< all posts, spills included
+    std::uint64_t spilled = 0;   ///< of which went to the overflow list
+  };
+
   /// Enqueues a message from another partition (called by
   /// ParallelEngine::send_cross on the source partition's worker thread).
   /// Wait-free on the steady state: one SPSC push into the
   /// (source, this) ring. A full ring spills to a mutexed overflow list —
   /// counted, never dropped, and drained into the same deterministic
-  /// order.
-  void post(CrossMessage m);
+  /// order. Returns true when the message spilled.
+  bool post(CrossMessage m);
 
-  /// Drains all inbound rings (plus any overflow) into the local event
-  /// queue in deterministic order — by (deliver time, source partition,
-  /// per-source sequence) — by sorting each source's small batch and
-  /// merging the per-source streams. Returns the number of messages
-  /// drained. Must be called only at a barrier (no concurrent post).
-  std::size_t drain_inbox();
+  /// Drains exactly `published[s]` messages from each source s — the
+  /// oldest ones on its ring plus its oldest `spilled` overflow entries —
+  /// into the local event queue in deterministic order: by (deliver
+  /// time, source partition, per-source sequence), sorting each source's
+  /// small batch and merging the per-source streams. Returns the number
+  /// of messages drained. Sources may post concurrently (their later
+  /// messages queue behind the drained ones, untouched), but every
+  /// counted message must have been posted before the call — the engine
+  /// publishes the counts through the round barrier.
+  std::size_t drain_inbox(std::span<const InboxCount> published);
 
   /// Messages that bypassed the rings because one was full (cumulative).
   std::uint64_t overflow_posts() const {
@@ -145,11 +165,77 @@ class Partition {
   std::vector<std::vector<CrossMessage>> drain_runs_;
   std::int64_t ring_high_water_ = 0;
 
+  // Sender side, touched only by this partition's worker (and by the
+  // round barrier's completion step while every worker waits): the
+  // sequence of this partition's outgoing messages and, per destination,
+  // what it posted since the last barrier.
+  struct Outbox {
+    InboxCount count;
+    std::int64_t min_deliver_ns = std::numeric_limits<std::int64_t>::max();
+  };
+  std::uint64_t send_seq_ = 0;
+  std::vector<Outbox> outbox_;
+
   telemetry::Gauge* ring_high_water_gauge_ = nullptr;
   telemetry::Counter* drained_ = nullptr;
   telemetry::Counter* overflow_counter_ = nullptr;
 
   friend class ParallelEngine;
+};
+
+/// Sense-reversing barrier for PDES sync rounds. The last of `parties`
+/// arrivers runs the completion step while the others wait, then releases
+/// them: every arriver's writes before arrive_and_wait() are visible to the
+/// completion step, and the completion step's writes to every released
+/// waiter. A waiter spins — `pause`, then yielding the core — for at most
+/// spin_budget_ns(), then sleeps on the phase word (std::atomic::wait).
+/// The spin limit adapts: waits that outlast the budget (peers descheduled
+/// by other jobs, long imbalanced windows) halve it down to "sleep at
+/// once", and waits that end within the budget double it back. When the
+/// parties outnumber the hardware threads a spinning waiter could only
+/// take the core an unfinished peer needs, so waiters always sleep.
+class RoundBarrier {
+ public:
+  explicit RoundBarrier(std::uint32_t parties);
+
+  RoundBarrier(const RoundBarrier&) = delete;
+  RoundBarrier& operator=(const RoundBarrier&) = delete;
+
+  /// Arrives and waits for the other parties; the last arriver runs
+  /// `completion()` (which must not throw) before releasing everyone.
+  template <typename Completion>
+  void arrive_and_wait(Completion&& completion) {
+    const std::uint32_t phase = phase_.load(std::memory_order_relaxed);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 < parties_) {
+      wait_past(phase);
+      return;
+    }
+    arrived_.store(0, std::memory_order_relaxed);
+    completion();
+    release(phase + 1);
+  }
+
+  /// Whether waiters may spin before sleeping (parties <= hardware
+  /// threads).
+  bool spins() const { return spin_; }
+
+  /// The longest a waiter spins before it sleeps: about what sleeping
+  /// costs (see parallel.cc).
+  static constexpr std::int64_t spin_budget_ns() { return 50'000; }
+
+ private:
+  void wait_past(std::uint32_t phase);
+  void release(std::uint32_t next_phase);
+
+  const std::uint32_t parties_;
+  const bool spin_;
+  alignas(kCacheLineSize) std::atomic<std::uint32_t> arrived_{0};
+  alignas(kCacheLineSize) std::atomic<std::uint32_t> phase_{0};
+  std::atomic<std::uint32_t> sleepers_{0};
+  /// When the last phase was released (steady clock, ns; spinning only).
+  std::atomic<std::int64_t> released_ns_{0};
+  /// Current spin limit, shared by the waiters; 0 = sleep at once.
+  std::atomic<std::int64_t> spin_limit_ns_;
 };
 
 /// Window-barrier conservative PDES engine.
@@ -198,7 +284,7 @@ class ParallelEngine {
     std::uint64_t events_executed = 0;
     double modeled_overhead_seconds = 0.0;  // wall time spent in the model
     /// Wall-clock seconds summed over all partitions spent waiting at the
-    /// window barrier (always accounted; the scaling bench reports
+    /// round barrier (always accounted; the scaling bench reports
     /// sync_wait_seconds / (num_partitions * wall) as the sync fraction).
     double sync_wait_seconds = 0.0;
   };
@@ -265,7 +351,7 @@ class ParallelEngine {
   /// counters (`pdes.pair.p<from>_p<to>.messages`, created lazily on first
   /// traffic), and per-partition engine metrics under `pdes.p<i>.*` (event
   /// accounting, ring high-water, messages drained, overflow spills, wall
-  /// nanoseconds spent waiting at the window barrier). While a telemetry
+  /// nanoseconds spent waiting at the round barrier). While a telemetry
   /// TraceSession is active it also emits one `pdes.window` span per
   /// partition per sync round plus a `pdes.sync_round` instant per round.
   /// Call before building components in the partitions.
@@ -284,7 +370,6 @@ class ParallelEngine {
 
   Config config_;
   std::vector<std::unique_ptr<Partition>> partitions_;
-  std::vector<std::atomic<std::uint64_t>> send_seq_;
   /// Row-major [from * P + to] minimum delay in ns; SimTime::max().ns()
   /// means "no such channel".
   std::vector<std::int64_t> pair_lookahead_ns_;
@@ -293,7 +378,6 @@ class ParallelEngine {
   /// windows; see the file comment.
   std::vector<std::int64_t> pair_reach_ns_;
   bool pair_reach_dirty_ = true;
-  std::atomic<std::uint64_t> round_messages_{0};
   Stats stats_;
   std::atomic<std::uint64_t> sync_wait_ns_total_{0};
   telemetry::Registry* telemetry_ = nullptr;

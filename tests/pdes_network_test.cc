@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "core/pdes_builder.h"
 #include "workload/generator.h"
@@ -260,6 +262,98 @@ TEST(PdesNetwork, PerPartitionGeneratorsDriveLoad) {
   }
   EXPECT_GT(launched, 20u);
   EXPECT_GT(completed, launched * 3 / 4);
+}
+
+// Four partitions of a 4-cluster Clos with 8us core links, one traffic
+// generator per partition.
+struct RoundCounts {
+  std::uint64_t sync_rounds = 0;
+  std::uint64_t cross_messages = 0;
+  std::uint64_t events = 0;
+  std::uint64_t overflow_posts = 0;
+  std::vector<std::int64_t> flow_end_ns;  // by generator, in start order
+};
+
+RoundCounts run_generator_scenario(ParallelEngine::WindowMode mode,
+                                   PlacementPolicy policy,
+                                   std::size_t ring_capacity) {
+  auto ecfg = engine_config(4);
+  ecfg.window_mode = mode;
+  ecfg.ring_capacity = ring_capacity;
+  ParallelEngine engine{ecfg};
+  NetworkConfig cfg;
+  cfg.spec.clusters = 4;
+  cfg.spec.tors_per_cluster = 4;
+  cfg.spec.aggs_per_cluster = 2;
+  cfg.spec.hosts_per_tor = 2;
+  cfg.spec.cores = 2;
+  cfg.core_link = cfg.fabric_link;
+  cfg.core_link->propagation = SimTime::from_us(8);
+  auto net = build_clos_partitioned(engine, cfg, policy);
+  auto sizes = workload::mini_web_distribution();
+  workload::UniformTraffic matrix{net.spec.total_hosts()};
+  std::vector<workload::TrafficGenerator*> gens;
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    workload::TrafficGenerator::Config gcfg;
+    gcfg.load = 0.2;
+    gcfg.stop_at = SimTime::from_ms(1);
+    auto* gen =
+        engine.partition(p).sim().add_component<workload::TrafficGenerator>(
+            "gen" + std::to_string(p), net.hosts, sizes.get(), &matrix, gcfg);
+    gen->admission_filter = [&net, p](net::HostId src, net::HostId) {
+      return net.partition_of_host[src] == p;
+    };
+    gen->start();
+    gens.push_back(gen);
+  }
+  engine.run_until(SimTime::from_ms(3));
+  RoundCounts c;
+  c.sync_rounds = engine.stats().sync_rounds;
+  c.cross_messages = engine.stats().cross_messages;
+  c.events = engine.stats().events_executed;
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    c.overflow_posts += engine.partition(p).overflow_posts();
+  }
+  for (auto* g : gens) {
+    for (const auto& r : g->flows().records()) {
+      c.flow_end_ns.push_back(r.completed ? r.end.ns() : -1);
+    }
+  }
+  return c;
+}
+
+// Pinned from the two-barrier round protocol (drain, barrier, window,
+// barrier): the one-barrier round computes every window from published
+// FES heads and message counts instead, and must step the identical
+// window sequence — same rounds, same messages, same events.
+TEST(PdesNetwork, RoundAndMessageCountsArePinned) {
+  const auto per_pair = run_generator_scenario(
+      ParallelEngine::WindowMode::per_pair, PlacementPolicy::graph_cut, 1024);
+  EXPECT_EQ(per_pair.sync_rounds, 177u);
+  EXPECT_EQ(per_pair.cross_messages, 15238u);
+  EXPECT_EQ(per_pair.events, 139876u);
+  const auto global = run_generator_scenario(
+      ParallelEngine::WindowMode::global, PlacementPolicy::round_robin, 1024);
+  EXPECT_EQ(global.sync_rounds, 1519u);
+  EXPECT_EQ(global.cross_messages, 36798u);
+  EXPECT_EQ(global.events, 149195u);
+}
+
+// Two-slot rings spill most cross-partition packets to the overflow list,
+// partly while the destination is still draining the previous window:
+// the run must be unchanged, flow for flow.
+TEST(PdesNetwork, TinyRingsOverflowWithoutChangingTheRun) {
+  const auto roomy = run_generator_scenario(
+      ParallelEngine::WindowMode::per_pair, PlacementPolicy::graph_cut, 1024);
+  const auto tiny = run_generator_scenario(
+      ParallelEngine::WindowMode::per_pair, PlacementPolicy::graph_cut, 2);
+  EXPECT_EQ(roomy.overflow_posts, 0u);
+  EXPECT_GT(tiny.overflow_posts, 0u);
+  EXPECT_EQ(tiny.sync_rounds, roomy.sync_rounds);
+  EXPECT_EQ(tiny.cross_messages, roomy.cross_messages);
+  EXPECT_EQ(tiny.events, roomy.events);
+  EXPECT_FALSE(roomy.flow_end_ns.empty());
+  EXPECT_EQ(tiny.flow_end_ns, roomy.flow_end_ns);
 }
 
 }  // namespace
