@@ -84,7 +84,7 @@ Measurement run_pdes(std::uint32_t n, double load, std::uint32_t machines) {
   ecfg.per_message_overhead_us = machines == 1 ? 0.2 : 0.6 * machines;
   sim::ParallelEngine engine{ecfg};
 
-  auto net = core::build_leaf_spine_partitioned(engine, leaf_spine(n));
+  auto net = core::build_clos_partitioned(engine, leaf_spine(n));
   auto sizes = workload::mini_web_distribution();
   workload::UniformTraffic matrix{net.spec.total_hosts()};
   const auto duration = SimTime::from_seconds_f(run_duration_ms() / 1e3);

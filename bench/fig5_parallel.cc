@@ -16,7 +16,7 @@
 
 #include "bench_common.h"
 #include "core/experiment.h"
-#include "core/hybrid_pdes.h"
+#include "core/hybrid_builder.h"
 #include "core/run_report.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -84,7 +84,7 @@ Outcome run_parallel_hybrid(const core::ExperimentConfig& cfg,
     gcfg.stop_at = cfg.duration;
     auto* gen =
         engine.partition(p).sim().add_component<workload::TrafficGenerator>(
-            "gen" + std::to_string(p), out.net.hosts, sizes.get(), &matrix,
+            "gen" + std::to_string(p), out.hosts, sizes.get(), &matrix,
             gcfg);
     gen->admission_filter = [&out, p, &cfg](net::HostId src,
                                             net::HostId dst) {

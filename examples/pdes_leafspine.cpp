@@ -93,7 +93,7 @@ int main() {
       engine.set_telemetry(&registry);  // before components are built
       trace.start();
     }
-    auto net = core::build_leaf_spine_partitioned(engine, leaf_spine(tors));
+    auto net = core::build_clos_partitioned(engine, leaf_spine(tors));
     auto sizes = workload::mini_web_distribution();
     workload::UniformTraffic matrix{net.spec.total_hosts()};
     std::vector<workload::TrafficGenerator*> gens;

@@ -106,6 +106,15 @@ echo "=== asan-ubsan — bench_memo smoke ==="
 echo "=== asan-ubsan — bench_granularity smoke ==="
 (cd build-asan && ESIM_BENCH_QUICK=1 ./bench/bench_granularity)
 
+# The benches that are the only non-test callers of the partitioned
+# hybrid build (fig5_parallel: ApproxCluster islands on PDES partitions
+# with cross-partition egress) and of the partitioned leaf-spine
+# (fig1_pdes_scaling), under ASan/UBSan at smoke scale.
+echo "=== asan-ubsan — fig5_parallel smoke ==="
+(cd build-asan && ESIM_BENCH_QUICK=1 ./bench/fig5_parallel)
+echo "=== asan-ubsan — fig1_pdes_scaling smoke ==="
+(cd build-asan && ESIM_BENCH_QUICK=1 ./bench/fig1_pdes_scaling)
+
 echo "=== preset: tsan — configure ==="
 cmake --preset tsan
 echo "=== preset: tsan — build ==="
@@ -127,8 +136,9 @@ echo "=== preset: tsan — test (threaded suites) ==="
 # RoundBarrier covers the PDES round barrier on its own: completion-step
 # visibility, spin-then-sleep hand-off, oversubscribed party counts.
 # Partition covers count-bounded inbox drains (ring + overflow spills).
+# GoldenResults runs the partitioned hybrid build at two partitions.
 ctest --preset tsan "${jobs}" -R \
-  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainKernels|RoundBarrier|Partition\.'
+  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainKernels|RoundBarrier|Partition\.|GoldenResults'
 
 if [[ "${ESIM_CHECK_COVERAGE:-0}" == "1" ]]; then
   echo "=== preset: coverage — configure ==="

@@ -7,35 +7,11 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/hybrid_pdes.h"
+#include "core/hybrid_builder.h"
 #include "sim/parallel.h"
 #include "sim/random.h"
 
 namespace esim::check {
-namespace {
-
-/// Schedules every flow whose source host `owner` maps to partition `p`
-/// on `sim`, with completion wired into the digest.
-void inject_flows(sim::Simulator& sim, const std::vector<FlowSpec>& flows,
-                  const std::vector<tcp::Host*>& hosts,
-                  const std::vector<std::uint32_t>& owner, std::uint32_t p,
-                  StateDigest& digest) {
-  for (const FlowSpec& f : flows) {
-    if (owner[f.src] != p) continue;
-    tcp::Host* host = hosts[f.src];
-    sim.schedule_at(sim::SimTime::from_ns(f.start_ns), [host, f, &digest] {
-      auto* conn = host->open_flow(f.dst, f.bytes, f.flow_id);
-      const sim::SimTime start = host->sim().now();
-      conn->on_complete = [host, f, start, &digest] {
-        digest.on_flow_complete(f.flow_id, f.src, f.dst, f.bytes, start,
-                                host->sim().now());
-      };
-    });
-  }
-}
-
-}  // namespace
-
 core::HybridConfig HybridScenario::hybrid_config(bool batching) const {
   core::HybridConfig cfg;
   cfg.net.spec.clusters = clusters;
@@ -321,8 +297,7 @@ Digest run_hybrid(const HybridScenario& sc, std::uint32_t partitions,
     sim::Simulator sim{sc.seed};
     auto net = core::build_hybrid_network(sim, cfg_h, ingress, egress);
     digest.attach(sim);
-    const std::vector<std::uint32_t> owner(sc.total_hosts(), 0);
-    inject_flows(sim, sc.flows, net.hosts, owner, 0, digest);
+    inject_flows(sim, sc.flows, net.hosts, net.partition_of_host, 0, digest);
     sim.run_until(end);
     finalize_probes(net.clusters);
     dump_capture();
@@ -338,11 +313,11 @@ Digest run_hybrid(const HybridScenario& sc, std::uint32_t partitions,
                                                     egress);
   digest.attach(engine);
   for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
-    inject_flows(engine.partition(p).sim(), sc.flows, out.net.hosts,
+    inject_flows(engine.partition(p).sim(), sc.flows, out.hosts,
                  out.partition_of_host, p, digest);
   }
   engine.run_until(end);
-  finalize_probes(out.net.clusters);
+  finalize_probes(out.clusters);
   dump_capture();
   return digest.finalize();
 }

@@ -76,7 +76,7 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
     /// queued packet's delivery, at arrival + >= min_latency_s, can
     /// always still be scheduled at flush time; the hybrid PDES builder
     /// additionally bounds it by min_latency_s - lookahead, see
-    /// hybrid_pdes.cc). Outcomes are bit-identical to the unbatched
+    /// hybrid_builder.cc). Outcomes are bit-identical to the unbatched
     /// path: features are extracted and drop draws consumed at admission
     /// in arrival order, and deliveries are reserved relative to each
     /// packet's arrival time.

@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <chrono>
+#include <functional>
 #include <future>
 #include <stdexcept>
 
@@ -28,19 +29,6 @@ RegionCounters collect_regions(const BuiltNetwork& network) {
   }
   for (const auto& [cluster, l] : network.intra_fabric_links) {
     accumulate(r.intra_fabric, l);
-  }
-  for (const auto& att : network.core_links) {
-    accumulate(r.core, att.up);
-    accumulate(r.core, att.down);
-  }
-  return r;
-}
-
-RegionCounters collect_regions(const HybridNetwork& network) {
-  RegionCounters r;
-  for (const auto* l : network.host_uplinks) accumulate(r.host_uplinks, l);
-  for (const auto* l : network.host_downlinks) {
-    accumulate(r.host_downlinks, l);
   }
   for (const auto& att : network.core_links) {
     accumulate(r.core, att.up);
@@ -77,6 +65,53 @@ double wall_seconds_since(
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// The run body both simulations share: RTT collection on cluster 0's
+/// hosts, the experiment's traffic generator (behind `admit` when set),
+/// the timed run to the configured duration and the FCT summary. The
+/// generator's size distribution and traffic matrix and the hosts' RTT
+/// collector are locals here, so `sim` must not run again afterwards.
+RunResult run_traffic(const ExperimentConfig& config,
+                      const net::ClosSpec& spec, sim::Simulator& sim,
+                      const std::vector<tcp::Host*>& hosts,
+                      std::function<bool(net::HostId, net::HostId)> admit) {
+  RunResult result;
+  stats::LatencyCollector rtt;
+  for (net::HostId h = 0; h < spec.total_hosts(); ++h) {
+    if (spec.cluster_of_host(h) == 0) hosts[h]->set_rtt_collector(&rtt);
+  }
+
+  auto sizes = make_sizes(config.workload);
+  workload::ClusterMixTraffic matrix{spec, config.intra_fraction};
+  workload::TrafficGenerator::Config gcfg;
+  gcfg.load = config.load;
+  gcfg.host_bandwidth_bps = config.net.host_uplink.bandwidth_bps;
+  gcfg.stop_at = config.duration;
+  auto* gen = sim.add_component<workload::TrafficGenerator>(
+      "gen", hosts, sizes.get(), &matrix, gcfg);
+  gen->admission_filter = std::move(admit);
+  gen->start();
+
+  const auto start = std::chrono::steady_clock::now();
+  sim.run_until(config.duration);
+  result.wall_seconds = wall_seconds_since(start);
+  result.events_executed = sim.events_executed();
+  result.events_scheduled = sim.events_scheduled();
+  result.rtt_cdf = rtt.cdf();
+  result.flows_launched = gen->launched();
+  result.flows_completed = gen->flows().completed_count();
+  if (result.flows_completed > 0) {
+    double sum = 0;
+    for (const auto& r : gen->flows().records()) {
+      if (!r.completed) continue;
+      sum += r.fct().to_seconds();
+      result.fct_cdf.add(r.fct().to_seconds());
+    }
+    result.mean_fct_seconds =
+        sum / static_cast<double>(result.flows_completed);
+  }
+  return result;
 }
 
 }  // namespace
@@ -211,42 +246,7 @@ RunResult run_full_simulation(const ExperimentConfig& config,
   net_cfg.spec = spec;
   auto network = build_full_network(sim, net_cfg);
 
-  RunResult result;
-  stats::LatencyCollector rtt;
-  for (net::HostId h = 0; h < spec.total_hosts(); ++h) {
-    if (spec.cluster_of_host(h) == 0) {
-      network.hosts[h]->set_rtt_collector(&rtt);
-    }
-  }
-
-  auto sizes = make_sizes(config.workload);
-  workload::ClusterMixTraffic matrix{spec, config.intra_fraction};
-  workload::TrafficGenerator::Config gcfg;
-  gcfg.load = config.load;
-  gcfg.host_bandwidth_bps = config.net.host_uplink.bandwidth_bps;
-  gcfg.stop_at = config.duration;
-  auto* gen = sim.add_component<workload::TrafficGenerator>(
-      "gen", network.hosts, sizes.get(), &matrix, gcfg);
-  gen->start();
-
-  const auto start = std::chrono::steady_clock::now();
-  sim.run_until(config.duration);
-  result.wall_seconds = wall_seconds_since(start);
-  result.events_executed = sim.events_executed();
-  result.events_scheduled = sim.events_scheduled();
-  result.rtt_cdf = rtt.cdf();
-  result.flows_launched = gen->launched();
-  result.flows_completed = gen->flows().completed_count();
-  if (result.flows_completed > 0) {
-    double sum = 0;
-    for (const auto& r : gen->flows().records()) {
-      if (!r.completed) continue;
-      sum += r.fct().to_seconds();
-      result.fct_cdf.add(r.fct().to_seconds());
-    }
-    result.mean_fct_seconds =
-        sum / static_cast<double>(result.flows_completed);
-  }
+  RunResult result = run_traffic(config, spec, sim, network.hosts, {});
   result.regions = collect_regions(network);
   if (config.telemetry) result.metrics = registry.snapshot();
   return result;
@@ -273,47 +273,14 @@ RunResult run_hybrid_simulation(const ExperimentConfig& config,
   auto network =
       build_hybrid_network(sim, hcfg, *models.ingress, *models.egress);
 
-  RunResult result;
-  stats::LatencyCollector rtt;
-  for (net::HostId h = 0; h < spec.total_hosts(); ++h) {
-    if (spec.cluster_of_host(h) == 0) {
-      network.hosts[h]->set_rtt_collector(&rtt);
-    }
-  }
-
-  auto sizes = make_sizes(config.workload);
-  workload::ClusterMixTraffic matrix{spec, config.intra_fraction};
-  workload::TrafficGenerator::Config gcfg;
-  gcfg.load = config.load;
-  gcfg.host_bandwidth_bps = config.net.host_uplink.bandwidth_bps;
-  gcfg.stop_at = config.duration;
-  auto* gen = sim.add_component<workload::TrafficGenerator>(
-      "gen", network.hosts, sizes.get(), &matrix, gcfg);
   // Elide traffic entirely between approximated clusters (paper §6.2):
   // it cannot affect measurements taken in the full-fidelity cluster.
-  gen->admission_filter = [&spec](net::HostId src, net::HostId dst) {
-    return spec.cluster_of_host(src) == 0 || spec.cluster_of_host(dst) == 0;
-  };
-  gen->start();
-
-  const auto start = std::chrono::steady_clock::now();
-  sim.run_until(config.duration);
-  result.wall_seconds = wall_seconds_since(start);
-  result.events_executed = sim.events_executed();
-  result.events_scheduled = sim.events_scheduled();
-  result.rtt_cdf = rtt.cdf();
-  result.flows_launched = gen->launched();
-  result.flows_completed = gen->flows().completed_count();
-  if (result.flows_completed > 0) {
-    double sum = 0;
-    for (const auto& r : gen->flows().records()) {
-      if (!r.completed) continue;
-      sum += r.fct().to_seconds();
-      result.fct_cdf.add(r.fct().to_seconds());
-    }
-    result.mean_fct_seconds =
-        sum / static_cast<double>(result.flows_completed);
-  }
+  RunResult result = run_traffic(
+      config, spec, sim, network.hosts,
+      [&spec](net::HostId src, net::HostId dst) {
+        return spec.cluster_of_host(src) == 0 ||
+               spec.cluster_of_host(dst) == 0;
+      });
   for (auto* cluster : network.clusters) {
     if (cluster == nullptr) continue;
     // The stats snapshot is a flush barrier: a duration cutoff can land

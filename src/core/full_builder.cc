@@ -1,187 +1,14 @@
 #include "core/full_builder.h"
 
-#include <unordered_map>
+#include "core/clos_wiring.h"
 
 namespace esim::core {
 
-using net::ClosSpec;
-using net::HostId;
-using net::Link;
-using net::Switch;
-using net::SwitchId;
-
-std::vector<const CoreAttachment*> BuiltNetwork::attachments_of(
-    std::uint32_t cluster) const {
-  std::vector<const CoreAttachment*> out;
-  for (const auto& a : core_links) {
-    if (a.cluster == cluster) out.push_back(&a);
-  }
-  return out;
-}
-
 BuiltNetwork build_full_network(sim::Simulator& sim,
                                 const NetworkConfig& config) {
-  const ClosSpec& spec = config.spec;
-  spec.validate();
-
+  config.spec.validate();
   BuiltNetwork out;
-  out.spec = spec;
-  out.hosts.resize(spec.total_hosts());
-  out.switches.resize(spec.total_switches());
-  out.host_uplinks.resize(spec.total_hosts());
-  out.host_downlinks.resize(spec.total_hosts());
-
-  // --- components ---
-  for (HostId h = 0; h < spec.total_hosts(); ++h) {
-    out.hosts[h] =
-        sim.add_component<tcp::Host>(spec.host_name(h), h, config.tcp);
-  }
-  for (std::uint32_t c = 0; c < spec.clusters; ++c) {
-    for (std::uint32_t t = 0; t < spec.tors_per_cluster; ++t) {
-      const SwitchId id = spec.tor_id(c, t);
-      out.switches[id] = sim.add_component<Switch>(
-          spec.tor_name(c, t), id, config.switch_processing);
-    }
-    for (std::uint32_t a = 0; a < spec.aggs_per_cluster; ++a) {
-      const SwitchId id = spec.agg_id(c, a);
-      out.switches[id] = sim.add_component<Switch>(
-          spec.agg_name(c, a), id, config.switch_processing);
-    }
-  }
-  for (std::uint32_t k = 0; k < spec.cores; ++k) {
-    const SwitchId id = spec.core_id(k);
-    out.switches[id] = sim.add_component<Switch>(spec.core_name(k), id,
-                                                 config.switch_processing);
-  }
-  if (!config.ecmp_port_sensitive) {
-    for (auto* sw : out.switches) sw->set_port_sensitive_ecmp(false);
-  }
-
-  // --- links & ports ---
-  // Port index bookkeeping: (switch id, neighbor key) -> port. FIB
-  // candidate ordering relies on insertion order below being canonical
-  // (hosts by id, aggs by index, cores by index, clusters by index).
-  std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> port_of(
-      spec.total_switches());
-  constexpr std::uint64_t kHostKey = 1ULL << 40;
-  constexpr std::uint64_t kSwitchKey = 2ULL << 40;
-
-  auto link_name = [](const std::string& a, const std::string& b) {
-    return a + "->" + b;
-  };
-
-  // Host <-> ToR.
-  for (HostId h = 0; h < spec.total_hosts(); ++h) {
-    const SwitchId tor = spec.tor_of_host(h);
-    Switch* tor_sw = out.switches[tor];
-    tcp::Host* host = out.hosts[h];
-    auto* up = sim.add_component<Link>(link_name(host->name(),
-                                                 tor_sw->name()),
-                                       config.host_uplink, tor_sw);
-    auto* down = sim.add_component<Link>(
-        link_name(tor_sw->name(), host->name()), config.fabric_link, host);
-    host->set_uplink(up);
-    out.host_uplinks[h] = up;
-    out.host_downlinks[h] = down;
-    port_of[tor][kHostKey | h] = tor_sw->add_port(down);
-  }
-
-  // ToR <-> Agg (every ToR to every Agg of its cluster, aggs ascending).
-  for (std::uint32_t c = 0; c < spec.clusters; ++c) {
-    for (std::uint32_t t = 0; t < spec.tors_per_cluster; ++t) {
-      Switch* tor_sw = out.switches[spec.tor_id(c, t)];
-      for (std::uint32_t a = 0; a < spec.aggs_per_cluster; ++a) {
-        Switch* agg_sw = out.switches[spec.agg_id(c, a)];
-        auto* up = sim.add_component<Link>(
-            link_name(tor_sw->name(), agg_sw->name()), config.fabric_link,
-            agg_sw);
-        auto* down = sim.add_component<Link>(
-            link_name(agg_sw->name(), tor_sw->name()), config.fabric_link,
-            tor_sw);
-        port_of[tor_sw->id()][kSwitchKey | agg_sw->id()] =
-            tor_sw->add_port(up);
-        port_of[agg_sw->id()][kSwitchKey | tor_sw->id()] =
-            agg_sw->add_port(down);
-        out.intra_fabric_links.emplace_back(c, up);
-        out.intra_fabric_links.emplace_back(c, down);
-      }
-    }
-  }
-
-  // Agg <-> Core (every Agg to every Core, cores ascending; core ports
-  // are added cluster-major then agg-major, giving the canonical
-  // ascending-agg order within each cluster).
-  const Link::Config& core_cfg = config.core_link_config();
-  for (std::uint32_t c = 0; c < spec.clusters; ++c) {
-    for (std::uint32_t a = 0; a < spec.aggs_per_cluster; ++a) {
-      Switch* agg_sw = out.switches[spec.agg_id(c, a)];
-      for (std::uint32_t k = 0; k < spec.cores; ++k) {
-        Switch* core_sw = out.switches[spec.core_id(k)];
-        auto* up = sim.add_component<Link>(
-            link_name(agg_sw->name(), core_sw->name()), core_cfg, core_sw);
-        auto* down = sim.add_component<Link>(
-            link_name(core_sw->name(), agg_sw->name()), core_cfg, agg_sw);
-        port_of[agg_sw->id()][kSwitchKey | core_sw->id()] =
-            agg_sw->add_port(up);
-        port_of[core_sw->id()][kSwitchKey | agg_sw->id()] =
-            core_sw->add_port(down);
-        out.core_links.push_back(CoreAttachment{c, a, k, up, down});
-      }
-    }
-  }
-
-  // --- FIBs ---
-  for (HostId dst = 0; dst < spec.total_hosts(); ++dst) {
-    const std::uint32_t dst_cluster = spec.cluster_of_host(dst);
-    const SwitchId dst_tor = spec.tor_of_host(dst);
-
-    // ToRs.
-    for (std::uint32_t c = 0; c < spec.clusters; ++c) {
-      for (std::uint32_t t = 0; t < spec.tors_per_cluster; ++t) {
-        Switch* tor_sw = out.switches[spec.tor_id(c, t)];
-        if (tor_sw->id() == dst_tor) {
-          tor_sw->set_route(dst, {port_of[tor_sw->id()].at(kHostKey | dst)});
-        } else {
-          std::vector<std::uint32_t> ups;
-          for (std::uint32_t a = 0; a < spec.aggs_per_cluster; ++a) {
-            ups.push_back(port_of[tor_sw->id()].at(
-                kSwitchKey | spec.agg_id(c, a)));
-          }
-          tor_sw->set_route(dst, std::move(ups));
-        }
-      }
-    }
-
-    // Aggs.
-    for (std::uint32_t c = 0; c < spec.clusters; ++c) {
-      for (std::uint32_t a = 0; a < spec.aggs_per_cluster; ++a) {
-        Switch* agg_sw = out.switches[spec.agg_id(c, a)];
-        if (c == dst_cluster) {
-          agg_sw->set_route(dst,
-                            {port_of[agg_sw->id()].at(kSwitchKey | dst_tor)});
-        } else {
-          std::vector<std::uint32_t> ups;
-          for (std::uint32_t k = 0; k < spec.cores; ++k) {
-            ups.push_back(
-                port_of[agg_sw->id()].at(kSwitchKey | spec.core_id(k)));
-          }
-          agg_sw->set_route(dst, std::move(ups));
-        }
-      }
-    }
-
-    // Cores: ECMP across the destination cluster's aggs (ascending).
-    for (std::uint32_t k = 0; k < spec.cores; ++k) {
-      Switch* core_sw = out.switches[spec.core_id(k)];
-      std::vector<std::uint32_t> downs;
-      for (std::uint32_t a = 0; a < spec.aggs_per_cluster; ++a) {
-        downs.push_back(port_of[core_sw->id()].at(
-            kSwitchKey | spec.agg_id(dst_cluster, a)));
-      }
-      core_sw->set_route(dst, std::move(downs));
-    }
-  }
-
+  wire_clos({&sim}, nullptr, config, {}, out);
   return out;
 }
 

@@ -1,12 +1,21 @@
 // Full-fidelity network assembly: instantiates hosts, switches, and links
 // for a ClosSpec inside one Simulator, wiring FIBs so that forwarding
 // matches net::compute_path's ECMP replay exactly.
+//
+// Also home of what every builder shares: the link/queue/TCP parameters
+// (NetworkConfig) and the one handle type all builds return
+// (BuiltNetwork). The partitioned, hybrid and partitioned-hybrid builders
+// (pdes_builder.h, hybrid_builder.h) wire the same Clos through the same
+// routine (clos_wiring.h) and differ only in placement and in which
+// clusters are swapped for an ApproxCluster.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "core/partitioner.h"
 #include "net/clos.h"
 #include "net/link.h"
 #include "net/switch.h"
@@ -36,14 +45,15 @@ struct NetworkConfig {
       .queue_capacity_bytes = 150'000,
   };
 
-  /// Agg <-> Core links only; unset means "same as fabric_link". Setting a
+  /// Agg <-> Core links, and the core -> ApproxCluster links that replace
+  /// them in hybrid builds; unset means "same as fabric_link". Setting a
   /// longer propagation here models the longer inter-cluster runs of a
   /// real fabric — and, under PDES with topology-aware placement, widens
   /// the per-pair lookahead of exactly the links a cut-minimizing
   /// partitioner leaves crossing.
   std::optional<net::Link::Config> core_link;
 
-  /// The link config used for agg <-> core wiring.
+  /// The link config used for wiring at the core layer.
   const net::Link::Config& core_link_config() const {
     return core_link.has_value() ? *core_link : fabric_link;
   }
@@ -70,21 +80,46 @@ struct CoreAttachment {
   net::Link* down = nullptr;  // core -> agg
 };
 
-/// Handles to everything a full-fidelity build created. All raw pointers
-/// are owned by the Simulator.
+class ApproxCluster;
+
+/// Handles to everything a build created — the one handle type every
+/// builder returns (HybridNetwork and PdesNetwork name it too). Raw
+/// pointers are owned by the build's simulator(s). Entries for components
+/// a build did not create are nullptr: the ToR/Agg switches and host
+/// downlinks of approximated clusters, and the ApproxCluster of every
+/// packet-level cluster.
 struct BuiltNetwork {
   net::ClosSpec spec;
   std::vector<tcp::Host*> hosts;            // dense by HostId
   std::vector<net::Switch*> switches;       // dense by SwitchId
-  std::vector<net::Link*> host_uplinks;     // [HostId] host -> ToR
+  std::vector<ApproxCluster*> clusters;     // per cluster
+  std::vector<net::Link*> host_uplinks;     // [HostId] host -> ToR/model
   std::vector<net::Link*> host_downlinks;   // [HostId] ToR -> host
-  std::vector<CoreAttachment> core_links;   // empty for leaf-spine
+  /// Agg<->core links of the packet-level clusters (empty for leaf-spine).
+  std::vector<CoreAttachment> core_links;
   /// ToR<->Agg links, tagged with their cluster (both directions).
   std::vector<std::pair<std::uint32_t, net::Link*>> intra_fabric_links;
+
+  /// Partition owning each switch, host and ApproxCluster (all 0 in a
+  /// sequential build; entries for components the build did not create
+  /// are 0).
+  std::vector<std::uint32_t> partition_of_switch;  // dense by SwitchId
+  std::vector<std::uint32_t> partition_of_host;    // dense by HostId
+  std::vector<std::uint32_t> partition_of_cluster;  // per cluster
+  /// Directed links whose ends live in different partitions.
+  std::uint64_t cross_partition_links = 0;
+  /// The graph-cut/round-robin placement of a build_clos_partitioned
+  /// build (includes cut accounting); empty otherwise.
+  PartitionPlan plan;
 
   /// Convenience: the agg->core uplinks of one cluster.
   std::vector<const CoreAttachment*> attachments_of(
       std::uint32_t cluster) const;
+
+  /// True if `h`'s cluster is simulated packet by packet.
+  bool is_full_fidelity(net::HostId h) const {
+    return clusters[spec.cluster_of_host(h)] == nullptr;
+  }
 };
 
 /// Builds the complete topology in `sim`. The spec must validate.

@@ -1,209 +1,127 @@
 #include "core/hybrid_builder.h"
 
+#include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
+#include <vector>
+
+#include "core/clos_wiring.h"
+#include "core/partitioner.h"
 
 namespace esim::core {
 
-using net::ClosSpec;
-using net::HostId;
-using net::Link;
-using net::Switch;
-using net::SwitchId;
+namespace {
+
+/// Validates a hybrid config and returns its per-cluster fidelity: the
+/// full cluster packet-level, every other cluster an ApproxCluster over
+/// the two models.
+std::vector<ClusterFidelity> hybrid_fidelity(
+    const HybridConfig& config, const approx::MicroModel& ingress_model,
+    const approx::MicroModel& egress_model) {
+  const net::ClosSpec& spec = config.net.spec;
+  spec.validate();
+  if (spec.clusters < 2) {
+    throw std::invalid_argument(
+        "hybrid build: need >= 2 clusters (one stays full)");
+  }
+  if (config.full_cluster >= spec.clusters) {
+    throw std::invalid_argument("hybrid build: bad full_cluster");
+  }
+  std::vector<ClusterFidelity> fidelity(
+      spec.clusters,
+      ClusterFidelity{&config.approx, &ingress_model, &egress_model});
+  fidelity[config.full_cluster] = ClusterFidelity{};
+  return fidelity;
+}
+
+}  // namespace
 
 HybridNetwork build_hybrid_network(sim::Simulator& sim,
                                    const HybridConfig& config,
                                    const approx::MicroModel& ingress_model,
                                    const approx::MicroModel& egress_model) {
-  const ClosSpec& spec = config.net.spec;
-  spec.validate();
-  if (spec.clusters < 2) {
-    throw std::invalid_argument(
-        "build_hybrid_network: need >= 2 clusters (one stays full)");
-  }
-  if (config.full_cluster >= spec.clusters) {
-    throw std::invalid_argument("build_hybrid_network: bad full_cluster");
-  }
-  const std::uint32_t full = config.full_cluster;
-
+  const auto fidelity = hybrid_fidelity(config, ingress_model, egress_model);
   HybridNetwork out;
-  out.spec = spec;
-  out.full_cluster = full;
-  out.hosts.resize(spec.total_hosts());
-  out.switches.assign(spec.total_switches(), nullptr);
-  out.clusters.assign(spec.clusters, nullptr);
-  out.host_uplinks.resize(spec.total_hosts());
-  out.host_downlinks.assign(spec.total_hosts(), nullptr);
+  wire_clos({&sim}, nullptr, config.net, fidelity, out);
+  return out;
+}
 
-  // --- components ---
-  for (HostId h = 0; h < spec.total_hosts(); ++h) {
-    out.hosts[h] =
-        sim.add_component<tcp::Host>(spec.host_name(h), h, config.net.tcp);
+HybridNetwork build_hybrid_network_partitioned(
+    sim::ParallelEngine& engine, const HybridConfig& config,
+    const approx::MicroModel& ingress_model,
+    const approx::MicroModel& egress_model) {
+  const auto fidelity = hybrid_fidelity(config, ingress_model, egress_model);
+  if (engine.lookahead() > config.net.core_link_config().propagation) {
+    throw std::invalid_argument(
+        "build_hybrid_network_partitioned: lookahead exceeds core link "
+        "propagation");
   }
-  for (std::uint32_t t = 0; t < spec.tors_per_cluster; ++t) {
-    const SwitchId id = spec.tor_id(full, t);
-    out.switches[id] = sim.add_component<Switch>(
-        spec.tor_name(full, t), id, config.net.switch_processing);
+  if (engine.lookahead().to_seconds() > config.approx.min_latency_s) {
+    throw std::invalid_argument(
+        "build_hybrid_network_partitioned: lookahead exceeds the model's "
+        "minimum latency (egress deliveries would violate causality)");
   }
-  for (std::uint32_t a = 0; a < spec.aggs_per_cluster; ++a) {
-    const SwitchId id = spec.agg_id(full, a);
-    out.switches[id] = sim.add_component<Switch>(
-        spec.agg_name(full, a), id, config.net.switch_processing);
+  const bool batching =
+      config.approx.batch_max > 1 && config.approx.batch_window > sim::SimTime{};
+  if (batching &&
+      config.approx.batch_window + engine.lookahead() >
+          sim::SimTime::from_seconds_f(config.approx.min_latency_s)) {
+    // A packet admitted at t may only be predicted at flush time
+    // tf <= t + batch_window, and its egress delivery lands at
+    // >= t + min_latency_s >= tf + (min_latency_s - batch_window). That
+    // slack is the cluster partition's real send horizon, so it must
+    // cover the engine's conservative lookahead.
+    throw std::invalid_argument(
+        "build_hybrid_network_partitioned: batch_window exceeds "
+        "min_latency_s - lookahead (a coalesced packet could be held "
+        "past the PDES lookahead it was admitted under)");
   }
-  for (std::uint32_t k = 0; k < spec.cores; ++k) {
-    const SwitchId id = spec.core_id(k);
-    out.switches[id] = sim.add_component<Switch>(spec.core_name(k), id,
-                                                 config.net.switch_processing);
-  }
-  for (std::uint32_t c = 0; c < spec.clusters; ++c) {
-    if (c == full) continue;
-    ApproxCluster::Config acfg = config.approx;
-    acfg.spec = spec;
-    acfg.cluster = c;
-    out.clusters[c] = sim.add_component<ApproxCluster>(
-        "approx.c" + std::to_string(c), acfg, ingress_model, egress_model);
-  }
+  const net::ClosSpec& spec = config.net.spec;
+  const std::uint32_t full = config.full_cluster;
+  const std::uint32_t P = engine.num_partitions();
 
-  auto link_name = [](const std::string& a, const std::string& b) {
-    return a + "->" + b;
-  };
-
-  std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> port_of(
-      spec.total_switches());
-  constexpr std::uint64_t kHostKey = 1ULL << 40;
-  constexpr std::uint64_t kSwitchKey = 2ULL << 40;
-  constexpr std::uint64_t kClusterKey = 3ULL << 40;
-
-  // --- full cluster wiring (identical to full_builder) ---
-  for (HostId h = 0; h < spec.total_hosts(); ++h) {
-    const std::uint32_t c = spec.cluster_of_host(h);
-    tcp::Host* host = out.hosts[h];
-    if (c == full) {
-      Switch* tor_sw = out.switches[spec.tor_of_host(h)];
-      auto* up = sim.add_component<Link>(
-          link_name(host->name(), tor_sw->name()), config.net.host_uplink,
-          tor_sw);
-      auto* down = sim.add_component<Link>(
-          link_name(tor_sw->name(), host->name()), config.net.fabric_link,
-          host);
-      host->set_uplink(up);
-      out.host_uplinks[h] = up;
-      out.host_downlinks[h] = down;
-      port_of[tor_sw->id()][kHostKey | h] = tor_sw->add_port(down);
-    } else {
-      ApproxCluster* cluster = out.clusters[c];
-      auto* up = sim.add_component<Link>(
-          link_name(host->name(), cluster->name()), config.net.host_uplink,
-          cluster);
-      host->set_uplink(up);
-      out.host_uplinks[h] = up;
-      cluster->attach_host(h, host);
-    }
-  }
-
-  for (std::uint32_t t = 0; t < spec.tors_per_cluster; ++t) {
-    Switch* tor_sw = out.switches[spec.tor_id(full, t)];
-    for (std::uint32_t a = 0; a < spec.aggs_per_cluster; ++a) {
-      Switch* agg_sw = out.switches[spec.agg_id(full, a)];
-      auto* up = sim.add_component<Link>(
-          link_name(tor_sw->name(), agg_sw->name()), config.net.fabric_link,
-          agg_sw);
-      auto* down = sim.add_component<Link>(
-          link_name(agg_sw->name(), tor_sw->name()), config.net.fabric_link,
-          tor_sw);
-      port_of[tor_sw->id()][kSwitchKey | agg_sw->id()] = tor_sw->add_port(up);
-      port_of[agg_sw->id()][kSwitchKey | tor_sw->id()] =
-          agg_sw->add_port(down);
-    }
-  }
-
-  for (std::uint32_t a = 0; a < spec.aggs_per_cluster; ++a) {
-    Switch* agg_sw = out.switches[spec.agg_id(full, a)];
-    for (std::uint32_t k = 0; k < spec.cores; ++k) {
-      Switch* core_sw = out.switches[spec.core_id(k)];
-      auto* up = sim.add_component<Link>(
-          link_name(agg_sw->name(), core_sw->name()), config.net.fabric_link,
-          core_sw);
-      auto* down = sim.add_component<Link>(
-          link_name(core_sw->name(), agg_sw->name()), config.net.fabric_link,
-          agg_sw);
-      port_of[agg_sw->id()][kSwitchKey | core_sw->id()] =
-          agg_sw->add_port(up);
-      port_of[core_sw->id()][kSwitchKey | agg_sw->id()] =
-          core_sw->add_port(down);
-      out.core_links.push_back(CoreAttachment{full, a, k, up, down});
-    }
-  }
-
-  // --- core -> approximated-cluster links, and core attachment ---
-  for (std::uint32_t k = 0; k < spec.cores; ++k) {
-    Switch* core_sw = out.switches[spec.core_id(k)];
+  // Placement: approximated clusters spread weight-balanced (by host
+  // count) over partitions 1..P-1, leaving partition 0 to the full
+  // cluster + cores (or everything on 0 when the engine has a single
+  // partition). Clusters have no links to each other, so balance — not
+  // cut — is the only objective here. Hosts ride with their cluster.
+  HybridNetwork out;
+  out.partition_of_cluster.assign(spec.clusters, 0);
+  if (P > 1) {
+    std::vector<std::uint32_t> approx_clusters;
+    std::vector<std::uint64_t> weights;
     for (std::uint32_t c = 0; c < spec.clusters; ++c) {
       if (c == full) continue;
-      ApproxCluster* cluster = out.clusters[c];
-      auto* down = sim.add_component<Link>(
-          link_name(core_sw->name(), cluster->name()),
-          config.net.fabric_link, cluster);
-      port_of[core_sw->id()][kClusterKey | c] = core_sw->add_port(down);
-      cluster->attach_core(k, core_sw);
+      approx_clusters.push_back(c);
+      weights.push_back(spec.hosts_per_cluster());
+    }
+    const auto bins = assign_balanced(weights, P - 1);
+    for (std::size_t i = 0; i < approx_clusters.size(); ++i) {
+      out.partition_of_cluster[approx_clusters[i]] = 1 + bins[i];
     }
   }
-
-  // --- FIBs ---
-  for (HostId dst = 0; dst < spec.total_hosts(); ++dst) {
-    const std::uint32_t dst_cluster = spec.cluster_of_host(dst);
-    const SwitchId dst_tor = spec.tor_of_host(dst);
-
-    // Full cluster ToRs and Aggs route exactly as in the full build.
-    for (std::uint32_t t = 0; t < spec.tors_per_cluster; ++t) {
-      Switch* tor_sw = out.switches[spec.tor_id(full, t)];
-      if (tor_sw->id() == dst_tor && dst_cluster == full) {
-        tor_sw->set_route(dst, {port_of[tor_sw->id()].at(kHostKey | dst)});
-      } else {
-        std::vector<std::uint32_t> ups;
-        for (std::uint32_t a = 0; a < spec.aggs_per_cluster; ++a) {
-          ups.push_back(
-              port_of[tor_sw->id()].at(kSwitchKey | spec.agg_id(full, a)));
-        }
-        tor_sw->set_route(dst, std::move(ups));
-      }
-    }
-    for (std::uint32_t a = 0; a < spec.aggs_per_cluster; ++a) {
-      Switch* agg_sw = out.switches[spec.agg_id(full, a)];
-      if (dst_cluster == full) {
-        agg_sw->set_route(dst,
-                          {port_of[agg_sw->id()].at(kSwitchKey | dst_tor)});
-      } else {
-        std::vector<std::uint32_t> ups;
-        for (std::uint32_t k = 0; k < spec.cores; ++k) {
-          ups.push_back(
-              port_of[agg_sw->id()].at(kSwitchKey | spec.core_id(k)));
-        }
-        agg_sw->set_route(dst, std::move(ups));
-      }
-    }
-
-    // Cores: into the full cluster via its aggs (canonical order), into
-    // approximated clusters via their single model link.
-    for (std::uint32_t k = 0; k < spec.cores; ++k) {
-      Switch* core_sw = out.switches[spec.core_id(k)];
-      if (dst_cluster == full) {
-        std::vector<std::uint32_t> downs;
-        for (std::uint32_t a = 0; a < spec.aggs_per_cluster; ++a) {
-          downs.push_back(port_of[core_sw->id()].at(
-              kSwitchKey | spec.agg_id(full, a)));
-        }
-        core_sw->set_route(dst, std::move(downs));
-      } else {
-        core_sw->set_route(
-            dst, {port_of[core_sw->id()].at(kClusterKey | dst_cluster)});
-      }
-    }
+  out.partition_of_host.resize(spec.total_hosts());
+  for (net::HostId h = 0; h < spec.total_hosts(); ++h) {
+    out.partition_of_host[h] =
+        out.partition_of_cluster[spec.cluster_of_host(h)];
   }
+  wire_clos(partition_sims(engine), &engine, config.net, fidelity, out);
 
-  // Start macro-state windows.
-  for (auto* cluster : out.clusters) {
-    if (cluster != nullptr) cluster->start();
+  // Egress lookahead. wire_clos bounded partition 0 -> island pairs by
+  // their core links; the island -> partition 0 direction carries no
+  // link, only model deliveries. Unbatched, an egress injection granted
+  // at t_d is reserved at arrival t with t_d >= t + min_latency_s. With
+  // batching the reservation is deferred to the flush at
+  // tf <= t + batch_window, shrinking the provable send horizon to
+  // min_latency_s - batch_window (validated above to still cover the
+  // engine lookahead).
+  sim::SimTime horizon =
+      sim::SimTime::from_seconds_f(config.approx.min_latency_s);
+  if (batching) horizon = horizon - config.approx.batch_window;
+  for (std::uint32_t c = 0; c < spec.clusters; ++c) {
+    const std::uint32_t p = out.partition_of_cluster[c];
+    if (c != full && p != 0) {
+      engine.set_pair_lookahead(p, 0, std::max(horizon, engine.lookahead()));
+    }
   }
   return out;
 }

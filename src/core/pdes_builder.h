@@ -1,11 +1,12 @@
 // Partitioned Clos assembly for the PDES experiments.
 //
 // build_clos_partitioned places every switch (and the hosts riding on
-// their ToRs) into the partition chosen by a core::PartitionPlan, wires
-// the same canonical topology as core/full_builder (identical FIB
-// candidate ordering, so deterministic ECMP picks the same paths), and
-// registers a remote scheduler on every link whose endpoints live in
-// different partitions.
+// their ToRs) into the partition chosen by a core::PartitionPlan and
+// wires the same canonical topology as core/full_builder through the
+// shared routine (core/clos_wiring.h): identical creation order per
+// simulator and identical FIB candidate ordering, so deterministic ECMP
+// picks the same paths. Every link whose endpoints live in different
+// partitions gets a remote scheduler.
 //
 // It also programs the engine's per-pair lookahead matrix from the wired
 // topology: L[a][b] becomes the minimum propagation delay over all
@@ -14,13 +15,9 @@
 // ParallelEngine::infinite_lookahead() so they never constrain the
 // window in per-pair mode — and any send over them is rejected.
 //
-// build_leaf_spine_partitioned remains as the Figure-1 entry point: the
-// degenerate single-cluster case, now routed through the same generic
-// builder.
+// A leaf-spine (spec.clusters == 1, spec.cores == 0; the Figure-1
+// topology) is the degenerate single-cluster case of the same build.
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "core/full_builder.h"
 #include "core/partitioner.h"
@@ -28,32 +25,16 @@
 
 namespace esim::core {
 
-/// Handles to a partitioned build. Pointers are owned by the partitions'
-/// simulators; index i of `hosts`/`switches` is the dense id.
-struct PdesNetwork {
-  net::ClosSpec spec;
-  std::vector<tcp::Host*> hosts;
-  std::vector<net::Switch*> switches;
-  /// The placement this build used (includes cut accounting).
-  PartitionPlan plan;
-  /// Partition owning each switch (dense by switch id; == plan's).
-  std::vector<std::uint32_t> partition_of_switch;
-  /// Partition owning each host.
-  std::vector<std::uint32_t> partition_of_host;
-  /// Fabric links that cross partitions (directed; == plan.cut_links).
-  std::uint64_t cross_partition_links = 0;
-};
+/// Handles to a partitioned build: the shared handle type, with `plan`,
+/// partition_of_switch/host and cross_partition_links (== plan.cut_links)
+/// filled in. Pointers are owned by the partitions' simulators.
+using PdesNetwork = BuiltNetwork;
 
-/// Builds the full Clos of `config.spec` across the engine's partitions,
-/// placing switches according to `policy`. The engine's (global)
-/// lookahead must be <= every link propagation delay (checked).
+/// Builds the full Clos (or leaf-spine) of `config.spec` across the
+/// engine's partitions, placing switches according to `policy`. The
+/// engine's (global) lookahead must be <= every link propagation delay
+/// (checked).
 PdesNetwork build_clos_partitioned(
-    sim::ParallelEngine& engine, const NetworkConfig& config,
-    PlacementPolicy policy = PlacementPolicy::graph_cut);
-
-/// Builds a leaf-spine (spec.clusters == 1, spec.cores == 0) across the
-/// engine's partitions. Thin wrapper over build_clos_partitioned.
-PdesNetwork build_leaf_spine_partitioned(
     sim::ParallelEngine& engine, const NetworkConfig& config,
     PlacementPolicy policy = PlacementPolicy::graph_cut);
 

@@ -740,7 +740,7 @@ MemoRunOutcome MemoRunner::run(const check::Scenario& scenario,
         eng.partition(p).sim().debug_invert_fes_tiebreak(true);
       }
     }
-    auto net = core::build_leaf_spine_partitioned(
+    auto net = core::build_clos_partitioned(
         eng, scenario.network_config(), options_.placement);
     Session s;
     for (std::uint32_t p = 0; p < eng.num_partitions(); ++p) {

@@ -8,7 +8,6 @@
 
 #include "check/hybrid_diff.h"
 #include "core/hybrid_builder.h"
-#include "core/hybrid_pdes.h"
 #include "stats/collectors.h"
 
 namespace esim::core {

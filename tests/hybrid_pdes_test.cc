@@ -4,7 +4,7 @@
 
 #include <atomic>
 
-#include "core/hybrid_pdes.h"
+#include "core/hybrid_builder.h"
 #include "stats/collectors.h"
 
 namespace esim::core {
@@ -81,20 +81,20 @@ TEST(HybridPdes, CrossPartitionFlowsComplete) {
   // Full-cluster host -> approximated clusters on two different
   // partitions, plus the reverse direction.
   sim0.schedule_at(SimTime::from_us(10), [&] {
-    auto* a = out.net.hosts[0]->open_flow(12, 40'000, 1);   // cluster 1
+    auto* a = out.hosts[0]->open_flow(12, 40'000, 1);   // cluster 1
     a->on_complete = [&] { completions.fetch_add(1); };
-    auto* b = out.net.hosts[1]->open_flow(20, 40'000, 2);   // cluster 2
+    auto* b = out.hosts[1]->open_flow(20, 40'000, 2);   // cluster 2
     b->on_complete = [&] { completions.fetch_add(1); };
   });
   engine.partition(1).sim().schedule_at(SimTime::from_us(15), [&] {
-    auto* c = out.net.hosts[9]->open_flow(2, 40'000, 3);    // back to full
+    auto* c = out.hosts[9]->open_flow(2, 40'000, 3);    // back to full
     c->on_complete = [&] { completions.fetch_add(1); };
   });
   engine.run_until(SimTime::from_ms(200));
   EXPECT_EQ(completions.load(), 3);
   EXPECT_GT(engine.stats().cross_messages, 100u);
-  EXPECT_GT(out.net.clusters[1]->stats().ingress_packets, 10u);
-  EXPECT_GT(out.net.clusters[2]->stats().ingress_packets, 10u);
+  EXPECT_GT(out.clusters[1]->stats().ingress_packets, 10u);
+  EXPECT_GT(out.clusters[2]->stats().ingress_packets, 10u);
 }
 
 TEST(HybridPdes, MatchesSequentialHybridResults) {
@@ -108,7 +108,7 @@ TEST(HybridPdes, MatchesSequentialHybridResults) {
         build_hybrid_network_partitioned(engine, hybrid_config(2), m, m);
     tcp::TcpConnection* conn = nullptr;
     engine.partition(0).sim().schedule_at(SimTime::from_us(10), [&] {
-      conn = out.net.hosts[0]->open_flow(12, 60'000, 1);
+      conn = out.hosts[0]->open_flow(12, 60'000, 1);
     });
     engine.run_until(SimTime::from_ms(100));
     return conn->stats().segments_sent;
@@ -135,12 +135,37 @@ TEST(HybridPdes, SinglePartitionDegradesGracefully) {
   EXPECT_EQ(out.partition_of_cluster[1], 0u);
   std::atomic<bool> complete{false};
   engine.partition(0).sim().schedule_at(SimTime::from_us(10), [&] {
-    auto* c = out.net.hosts[0]->open_flow(12, 20'000, 1);
+    auto* c = out.hosts[0]->open_flow(12, 20'000, 1);
     c->on_complete = [&] { complete.store(true); };
   });
   engine.run_until(SimTime::from_ms(100));
   EXPECT_TRUE(complete.load());
   EXPECT_EQ(engine.stats().cross_messages, 0u);
+}
+
+TEST(HybridPdes, CoreLinkConfigReachesHybridWiring) {
+  // Hybrid builds share the full build's wiring, so NetworkConfig::
+  // core_link sets the agg<->core links and the core -> ApproxCluster
+  // links alike — and, partitioned, the core -> island pair lookahead.
+  auto cfg = hybrid_config(3);
+  cfg.net.core_link = cfg.net.fabric_link;
+  cfg.net.core_link->propagation = SimTime::from_us(8);
+  const auto m = benign_model(8.0);
+
+  sim::Simulator sim{5};
+  const auto net = build_hybrid_network(sim, cfg, m, m);
+  ASSERT_EQ(net.core_links.size(), 4u);  // 2 full-cluster aggs x 2 cores
+  for (const auto& att : net.core_links) {
+    EXPECT_EQ(att.up->propagation(), SimTime::from_us(8));
+    EXPECT_EQ(att.down->propagation(), SimTime::from_us(8));
+  }
+
+  ParallelEngine engine{engine_config(3)};
+  const auto out = build_hybrid_network_partitioned(engine, cfg, m, m);
+  for (std::uint32_t c = 1; c < 3; ++c) {
+    EXPECT_EQ(engine.pair_lookahead(0, out.partition_of_cluster[c]),
+              SimTime::from_us(8));
+  }
 }
 
 }  // namespace

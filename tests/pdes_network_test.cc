@@ -36,7 +36,7 @@ ParallelEngine::Config engine_config(std::uint32_t partitions) {
 
 TEST(PdesBuilder, PlacesAndWires) {
   ParallelEngine engine{engine_config(2)};
-  const auto net = build_leaf_spine_partitioned(engine, leaf_spine(4, 4));
+  const auto net = build_clos_partitioned(engine, leaf_spine(4, 4));
   EXPECT_EQ(net.hosts.size(), 16u);
   EXPECT_EQ(net.switches.size(), 8u);
   for (auto* h : net.hosts) ASSERT_NE(h, nullptr);
@@ -64,7 +64,7 @@ TEST(PdesBuilder, PlacesAndWires) {
 
 TEST(PdesBuilder, RoundRobinPolicyMatchesLegacyPlacement) {
   ParallelEngine engine{engine_config(2)};
-  const auto net = build_leaf_spine_partitioned(
+  const auto net = build_clos_partitioned(
       engine, leaf_spine(4, 4), PlacementPolicy::round_robin);
   // Legacy layout: rack r -> partition r % P, spines keep rotating.
   EXPECT_EQ(net.partition_of_switch[0], 0u);
@@ -105,25 +105,17 @@ TEST(PdesBuilder, GraphCutColocatesClustersOnFatTree) {
   }
 }
 
-TEST(PdesBuilder, RejectsNonLeafSpine) {
-  ParallelEngine engine{engine_config(2)};
-  NetworkConfig cfg;
-  cfg.spec.clusters = 2;  // 3-layer Clos: not supported here
-  EXPECT_THROW(build_leaf_spine_partitioned(engine, cfg),
-               std::invalid_argument);
-}
-
 TEST(PdesBuilder, RejectsExcessiveLookahead) {
   auto ecfg = engine_config(2);
   ecfg.lookahead = SimTime::from_us(50);  // > 1us propagation
   ParallelEngine engine{ecfg};
-  EXPECT_THROW(build_leaf_spine_partitioned(engine, leaf_spine(2, 2)),
+  EXPECT_THROW(build_clos_partitioned(engine, leaf_spine(2, 2)),
                std::invalid_argument);
 }
 
 TEST(PdesNetwork, CrossPartitionFlowCompletes) {
   ParallelEngine engine{engine_config(2)};
-  auto net = build_leaf_spine_partitioned(engine, leaf_spine(2, 2));
+  auto net = build_clos_partitioned(engine, leaf_spine(2, 2));
   // Host 0 lives in partition 0, host 4 (rack 1) in partition 1.
   std::atomic<bool> complete{false};
   auto& sim0 = engine.partition(0).sim();
@@ -139,7 +131,7 @@ TEST(PdesNetwork, CrossPartitionFlowCompletes) {
 
 TEST(PdesNetwork, ManyFlowsAcrossFourPartitions) {
   ParallelEngine engine{engine_config(4)};
-  auto net = build_leaf_spine_partitioned(engine, leaf_spine(8, 8));
+  auto net = build_clos_partitioned(engine, leaf_spine(8, 8));
   // One flow per partition, each sourced from a host that partition owns
   // (looked up via the plan, not assumed from legacy placement).
   std::vector<net::HostId> src_of_partition(4, net::HostId{0});
@@ -211,7 +203,7 @@ TEST(PdesNetwork, MatchesSingleThreadedFlowOutcome) {
   // (deterministic TCP, no contention).
   auto run_pdes = [] {
     ParallelEngine engine{engine_config(2)};
-    auto net = build_leaf_spine_partitioned(engine, leaf_spine(2, 2));
+    auto net = build_clos_partitioned(engine, leaf_spine(2, 2));
     std::atomic<std::uint64_t> segments{0};
     auto& sim0 = engine.partition(0).sim();
     tcp::TcpConnection* conn = nullptr;
@@ -236,7 +228,7 @@ TEST(PdesNetwork, MatchesSingleThreadedFlowOutcome) {
 
 TEST(PdesNetwork, PerPartitionGeneratorsDriveLoad) {
   ParallelEngine engine{engine_config(2)};
-  auto net = build_leaf_spine_partitioned(engine, leaf_spine(4, 4));
+  auto net = build_clos_partitioned(engine, leaf_spine(4, 4));
   auto sizes = workload::mini_web_distribution();
   workload::UniformTraffic matrix{net.spec.total_hosts()};
   std::vector<workload::TrafficGenerator*> gens;

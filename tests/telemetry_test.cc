@@ -466,7 +466,7 @@ TEST(TelemetryIntegration, PdesRunPublishesPartitionMetricsAndTrace) {
     net_cfg.spec.aggs_per_cluster = 2;
     net_cfg.spec.hosts_per_tor = 2;
     net_cfg.spec.cores = 0;
-    auto net = core::build_leaf_spine_partitioned(engine, net_cfg);
+    auto net = core::build_clos_partitioned(engine, net_cfg);
     auto sizes = workload::mini_web_distribution();
     workload::UniformTraffic matrix{net.spec.total_hosts()};
     const auto duration = sim::SimTime::from_us(500);
