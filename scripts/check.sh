@@ -136,9 +136,11 @@ echo "=== preset: tsan — test (threaded suites) ==="
 # RoundBarrier covers the PDES round barrier on its own: completion-step
 # visibility, spin-then-sleep hand-off, oversubscribed party counts.
 # Partition covers count-bounded inbox drains (ring + overflow spills).
-# GoldenResults runs the partitioned hybrid build at two partitions.
+# GoldenResults runs the partitioned hybrid build and the memo runner at
+# two partitions and the PDES leaf-spine at two and four. CheckEngine
+# builds and injects into a PDES engine through check::Engine.
 ctest --preset tsan "${jobs}" -R \
-  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainKernels|RoundBarrier|Partition\.|GoldenResults'
+  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainKernels|RoundBarrier|Partition\.|GoldenResults|CheckEngine'
 
 if [[ "${ESIM_CHECK_COVERAGE:-0}" == "1" ]]; then
   echo "=== preset: coverage — configure ==="

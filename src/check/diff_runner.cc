@@ -1,19 +1,18 @@
 #include "check/diff_runner.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
-#include "core/pdes_builder.h"
-#include "sim/parallel.h"
-
 namespace esim::check {
-std::string EngineSpec::label() const {
-  std::string s = partitions == 0
-                      ? "sequential"
-                      : "pdes(" + std::to_string(partitions) + ")";
-  if (invert_tiebreak) s += "+inverted-tiebreak";
-  return s;
-}
+namespace {
+
+/// Bisection stops when the diverged window is this tight.
+constexpr std::int64_t kBisectResolutionNs = 1000;
+/// Record-capture cap during localization reruns.
+constexpr std::size_t kMaxCapture = std::size_t{1} << 20;
+
+}  // namespace
 
 std::string FirstDivergence::to_string() const {
   if (!found) return "(no packet-level divergence localized)";
@@ -42,48 +41,21 @@ std::string DiffReport::to_string() const {
   return os.str();
 }
 
-RunOutcome DiffRunner::run(const Scenario& scenario, const EngineSpec& engine,
+RunOutcome DiffRunner::run(const Scenario& scenario, const EngineSpec& spec,
                            sim::SimTime end, bool capture) const {
   scenario.validate();
   RunOutcome out;
   StateDigest digest;
-  if (capture) digest.enable_capture(options_.max_capture);
-
-  if (engine.partitions == 0) {
-    sim::Simulator sim{scenario.seed};
-    if (engine.invert_tiebreak) sim.debug_invert_fes_tiebreak(true);
-    auto net = core::build_full_network(sim, scenario.network_config());
-    digest.attach(sim);
-    inject_flows(sim, scenario.flows, net.hosts, net.partition_of_host, 0,
-                 digest);
-    sim.run_until(end);
-    out.digest = digest.finalize();
-    // Records reference link names owned by `sim`; copy them out before
-    // the engine (and its components) goes out of scope.
-    if (capture) out.records = digest.captured();
-  } else {
-    sim::ParallelEngine::Config cfg;
-    cfg.num_partitions = engine.partitions;
-    cfg.lookahead = options_.lookahead;
-    cfg.window_mode = options_.window_mode;
-    cfg.seed = scenario.seed;
-    sim::ParallelEngine eng{cfg};
-    if (engine.invert_tiebreak) {
-      for (std::uint32_t p = 0; p < eng.num_partitions(); ++p) {
-        eng.partition(p).sim().debug_invert_fes_tiebreak(true);
-      }
-    }
-    auto net = core::build_clos_partitioned(
-        eng, scenario.network_config(), options_.placement);
-    digest.attach(eng);
-    for (std::uint32_t p = 0; p < eng.num_partitions(); ++p) {
-      inject_flows(eng.partition(p).sim(), scenario.flows, net.hosts,
-                   net.partition_of_host, p, digest);
-    }
-    eng.run_until(end);
-    out.digest = digest.finalize();
-    if (capture) out.records = digest.captured();
-  }
+  if (capture) digest.enable_capture(kMaxCapture);
+  Engine engine{spec, scenario.seed};
+  const auto net = engine.build_full(scenario.network_config());
+  engine.attach(digest);
+  inject_flows(engine, scenario.flows, net, digest);
+  engine.run_until(end);
+  out.digest = digest.finalize();
+  // Records reference link names owned by the engine; copy them out
+  // before it (and its components) goes out of scope.
+  if (capture) out.records = digest.captured();
   out.flows_completed = out.digest.flows;
   return out;
 }
@@ -93,9 +65,7 @@ DiffReport DiffRunner::diff(const Scenario& scenario, const EngineSpec& base,
   DiffReport report;
   report.base = base;
   report.other = other;
-  report.full_compare = base == other || (base.partitions == other.partitions &&
-                                          base.invert_tiebreak ==
-                                              other.invert_tiebreak);
+  report.full_compare = base == other;
 
   auto equal = [&report](const Digest& a, const Digest& b) {
     return report.full_compare ? a == b : a.engine_invariant_equal(b);
@@ -105,15 +75,15 @@ DiffReport DiffRunner::diff(const Scenario& scenario, const EngineSpec& base,
   report.base_digest = run(scenario, base, duration).digest;
   report.other_digest = run(scenario, other, duration).digest;
   report.equivalent = equal(report.base_digest, report.other_digest);
-  if (report.equivalent || !options_.localize) return report;
+  if (report.equivalent) return report;
 
   // Bisect the horizon: find the earliest end time (to within
-  // bisect_resolution_ns) at which the two engines' digests already
+  // kBisectResolutionNs) at which the two engines' digests already
   // differ. Digests at a shorter horizon cover a prefix of the run, so
   // divergence is monotone in the horizon.
   std::int64_t lo = 0;  // digests match when nothing has run
   std::int64_t hi = scenario.duration_ns;
-  while (hi - lo > options_.bisect_resolution_ns) {
+  while (hi - lo > kBisectResolutionNs) {
     const std::int64_t mid = lo + (hi - lo) / 2;
     const auto a = run(scenario, base, sim::SimTime::from_ns(mid)).digest;
     const auto b = run(scenario, other, sim::SimTime::from_ns(mid)).digest;

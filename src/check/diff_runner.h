@@ -2,12 +2,12 @@
 // and first-divergence localization.
 //
 // The runner executes a Scenario under any EngineSpec (sequential
-// Simulator, or PDES with N partitions), wiring a StateDigest into the
-// engine, injecting the scenario's flow list, and reducing the run to a
-// Digest. diff() compares two engines; on mismatch it bisects over the
-// virtual-time horizon to the earliest end time at which the digests
-// already differ, then reruns both sides with record capture to name the
-// first divergent per-link packet event with context.
+// Simulator, or PDES with N partitions) on the shared check::Engine,
+// wiring a StateDigest into it, injecting the scenario's flow list, and
+// reducing the run to a Digest. diff() compares two engines; on mismatch
+// it bisects over the virtual-time horizon to the earliest end time at
+// which the digests already differ, then reruns both sides with record
+// capture to name the first divergent per-link packet event with context.
 //
 // Comparison relation:
 //   * different engine configs  -> Digest::engine_invariant_equal
@@ -17,31 +17,16 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "check/digest.h"
+#include "check/engine.h"
 #include "check/scenario.h"
-#include "core/partitioner.h"
-#include "sim/parallel.h"
 #include "sim/time.h"
 
 namespace esim::check {
-
-/// Which engine to run a scenario under.
-struct EngineSpec {
-  /// 0 = sequential Simulator; >= 1 = ParallelEngine with this many
-  /// partitions.
-  std::uint32_t partitions = 0;
-  /// Injected ordering bug: invert the FES same-time tie-break in every
-  /// engine/partition of this run (see EventQueue::debug_set_invert_
-  /// tiebreak). Used to prove the harness catches ordering regressions.
-  bool invert_tiebreak = false;
-
-  bool operator==(const EngineSpec&) const = default;
-
-  std::string label() const;
-};
 
 /// Everything one engine run produced.
 struct RunOutcome {
@@ -74,7 +59,7 @@ struct DiffReport {
   Digest base_digest;
   Digest other_digest;
   /// Bisected earliest horizon (ns) at which digests already differ; 0
-  /// when equivalent or bisection disabled.
+  /// when equivalent.
   std::int64_t divergence_window_ns = 0;
   FirstDivergence first;
 
@@ -84,34 +69,14 @@ struct DiffReport {
 /// Executes scenarios under engines and compares digests.
 class DiffRunner {
  public:
-  struct Options {
-    /// PDES conservative lookahead; must be <= the 1us link propagation.
-    sim::SimTime lookahead = sim::SimTime::from_us(1);
-    /// PDES window mode. Defaults to per-pair so the gate exercises the
-    /// scale-out path (per-pair lookahead + SPSC drains) by default.
-    sim::ParallelEngine::WindowMode window_mode =
-        sim::ParallelEngine::WindowMode::per_pair;
-    /// Switch placement for partitioned builds.
-    core::PlacementPolicy placement = core::PlacementPolicy::graph_cut;
-    /// Bisect + capture on mismatch (diff only).
-    bool localize = true;
-    /// Bisection stops when the window is this tight.
-    std::int64_t bisect_resolution_ns = 1000;
-    /// Record-capture cap during localization reruns.
-    std::size_t max_capture = 1 << 20;
-  };
-
-  DiffRunner() = default;
-  explicit DiffRunner(const Options& options) : options_{options} {}
-
-  /// Runs `scenario` under `engine` until `end` (<= scenario duration),
+  /// Runs `scenario` under `spec` until `end` (<= scenario duration),
   /// returning the digest (and captured records when `capture`).
-  RunOutcome run(const Scenario& scenario, const EngineSpec& engine,
+  RunOutcome run(const Scenario& scenario, const EngineSpec& spec,
                  sim::SimTime end, bool capture = false) const;
 
   /// Full-duration run.
-  RunOutcome run(const Scenario& scenario, const EngineSpec& engine) const {
-    return run(scenario, engine, sim::SimTime::from_ns(scenario.duration_ns));
+  RunOutcome run(const Scenario& scenario, const EngineSpec& spec) const {
+    return run(scenario, spec, sim::SimTime::from_ns(scenario.duration_ns));
   }
 
   /// Compares `base` and `other` on `scenario`; localizes on mismatch.
@@ -125,9 +90,6 @@ class DiffRunner {
       const Scenario& scenario,
       const std::vector<std::uint32_t>& partition_counts,
       bool inject_tiebreak_bug = false) const;
-
- private:
-  Options options_;
 };
 
 }  // namespace esim::check

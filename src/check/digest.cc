@@ -138,12 +138,6 @@ void StateDigest::attach(sim::Simulator& sim) {
   observe_links(sim);
 }
 
-void StateDigest::attach(sim::ParallelEngine& engine) {
-  for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
-    attach(engine.partition(p).sim());
-  }
-}
-
 void StateDigest::observe_links(sim::Simulator& sim) {
   if (std::find(sims_.begin(), sims_.end(), &sim) == sims_.end()) {
     sims_.push_back(&sim);

@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "net/link.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 
 namespace esim::check {
@@ -158,12 +157,10 @@ class StateDigest {
   /// lanes keep absorbing regardless).
   void enable_capture(std::size_t max_records = 1 << 20);
 
-  /// Hooks the event pop stream of a sequential engine (partition key 0).
+  /// Hooks the event pop stream of one simulator (event lane = attach
+  /// order, so a PDES engine attaches its partitions in index order) and
+  /// observes the links already built in it.
   void attach(sim::Simulator& sim);
-
-  /// Hooks every partition of a PDES engine (partition key = index) and
-  /// observes all links already built inside the partitions.
-  void attach(sim::ParallelEngine& engine);
 
   /// Installs probes on every Link component currently registered in
   /// `sim` (claims the links' on_transmit / on_drop observer slots) and

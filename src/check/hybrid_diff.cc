@@ -1,14 +1,11 @@
 #include "check/hybrid_diff.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
-#include "core/hybrid_builder.h"
-#include "sim/parallel.h"
+#include "check/engine.h"
 #include "sim/random.h"
 
 namespace esim::check {
@@ -249,18 +246,6 @@ Digest run_hybrid(const HybridScenario& sc, std::uint32_t partitions,
   const approx::MicroModel egress = sc.make_model(7);
   const auto end = sim::SimTime::from_ns(sc.duration_ns);
   StateDigest digest;
-  // Divergence localization hook: ESIM_CAPTURE=<file> dumps every
-  // per-link packet record after the run (set it around two run_hybrid
-  // calls and diff the files to find the first divergent record).
-  const char* cap_file = std::getenv("ESIM_CAPTURE");
-  if (cap_file != nullptr) digest.enable_capture();
-  const auto dump_capture = [&] {
-    if (cap_file == nullptr) return;
-    std::ofstream out{cap_file};
-    for (const auto& [link, recs] : digest.captured()) {
-      for (const auto& r : recs) out << link << " | " << r.to_string() << "\n";
-    }
-  };
 
   // The adaptive controller needs its congestion signal: attach an
   // internal tracking-only sink when the caller brought none.
@@ -273,52 +258,26 @@ Digest run_hybrid(const HybridScenario& sc, std::uint32_t partitions,
 
   core::HybridConfig cfg_h = sc.hybrid_config(batching);
   cfg_h.approx.fidelity = fidelity;
-  const auto finalize_probes =
-      [&](const std::vector<core::ApproxCluster*>& clusters) {
-        for (auto* c : clusters) {
-          if (c != nullptr) {
-            c->flush_batch();
-            c->finalize_fidelity();
-            // Fold the transition trace into the engine-invariant tier
-            // lane (and export it for element-wise comparison).
-            for (const core::TierTransition& t : c->tier_trace()) {
-              digest.on_tier_transition(c->cluster_id(), t.t_ns,
-                                        static_cast<std::uint8_t>(t.from),
-                                        static_cast<std::uint8_t>(t.to));
-            }
-            if (traces != nullptr) {
-              (*traces)[c->cluster_id()] = c->tier_trace();
-            }
-          }
-        }
-      };
-
-  if (partitions == 0) {
-    sim::Simulator sim{sc.seed};
-    auto net = core::build_hybrid_network(sim, cfg_h, ingress, egress);
-    digest.attach(sim);
-    inject_flows(sim, sc.flows, net.hosts, net.partition_of_host, 0, digest);
-    sim.run_until(end);
-    finalize_probes(net.clusters);
-    dump_capture();
-    return digest.finalize();
-  }
-
-  sim::ParallelEngine::Config cfg;
-  cfg.num_partitions = partitions;
-  cfg.lookahead = sim::SimTime::from_ns(sc.lookahead_ns);
-  cfg.seed = sc.seed;
-  sim::ParallelEngine engine{cfg};
-  auto out = core::build_hybrid_network_partitioned(engine, cfg_h, ingress,
-                                                    egress);
-  digest.attach(engine);
-  for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
-    inject_flows(engine.partition(p).sim(), sc.flows, out.hosts,
-                 out.partition_of_host, p, digest);
-  }
+  Engine engine{EngineSpec{partitions}, sc.seed,
+                sim::SimTime::from_ns(sc.lookahead_ns),
+                sim::ParallelEngine::WindowMode::global};
+  const auto net = engine.build_hybrid(cfg_h, ingress, egress);
+  engine.attach(digest);
+  inject_flows(engine, sc.flows, net, digest);
   engine.run_until(end);
-  finalize_probes(out.clusters);
-  dump_capture();
+  for (core::ApproxCluster* c : net.clusters) {
+    if (c == nullptr) continue;
+    c->flush_batch();
+    c->finalize_fidelity();
+    // Fold the transition trace into the engine-invariant tier lane (and
+    // export it for element-wise comparison).
+    for (const core::TierTransition& t : c->tier_trace()) {
+      digest.on_tier_transition(c->cluster_id(), t.t_ns,
+                                static_cast<std::uint8_t>(t.from),
+                                static_cast<std::uint8_t>(t.to));
+    }
+    if (traces != nullptr) (*traces)[c->cluster_id()] = c->tier_trace();
+  }
   return digest.finalize();
 }
 

@@ -128,9 +128,10 @@ HybridScenario random_granularity_scenario(std::uint64_t scenario_seed);
 /// Executed tier transitions per cluster index, in virtual-time order.
 using TierTraces = std::map<std::uint32_t, std::vector<core::TierTransition>>;
 
-/// Runs the scenario to its horizon and digests the run. partitions == 0
-/// selects the sequential Simulator{seed}; otherwise a ParallelEngine
-/// with that many partitions (same seed, lookahead_ns). A non-null
+/// Runs the scenario to its horizon on a check::Engine and digests the
+/// run. partitions == 0 selects the sequential Simulator{seed}; otherwise
+/// a ParallelEngine with that many partitions (same seed, lookahead_ns,
+/// global windows, island placement). A non-null
 /// `fidelity` sink attaches the observatory to every ApproxCluster (its
 /// probes are finalized before returning); the digest-invariance
 /// contract says the returned digest is bit-identical either way. With

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "check/digest.h"
-
 namespace esim::check {
 namespace {
 
@@ -212,24 +210,6 @@ Scenario load_scenario(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return Scenario::parse(ss.str());
-}
-
-void inject_flows(sim::Simulator& sim, const std::vector<FlowSpec>& flows,
-                  const std::vector<tcp::Host*>& hosts,
-                  const std::vector<std::uint32_t>& owner, std::uint32_t p,
-                  StateDigest& digest) {
-  for (const FlowSpec& f : flows) {
-    if (owner[f.src] != p) continue;
-    tcp::Host* host = hosts[f.src];
-    sim.schedule_at(sim::SimTime::from_ns(f.start_ns), [host, f, &digest] {
-      auto* conn = host->open_flow(f.dst, f.bytes, f.flow_id);
-      const sim::SimTime start = host->sim().now();
-      conn->on_complete = [host, f, start, &digest] {
-        digest.on_flow_complete(f.flow_id, f.src, f.dst, f.bytes, start,
-                                host->sim().now());
-      };
-    });
-  }
 }
 
 }  // namespace esim::check

@@ -23,12 +23,8 @@
 
 #include "core/full_builder.h"
 #include "net/clos.h"
-#include "sim/simulator.h"
-#include "tcp/host.h"
 
 namespace esim::check {
-
-class StateDigest;
 
 /// One pre-planned TCP flow.
 struct FlowSpec {
@@ -95,13 +91,5 @@ struct Scenario {
 /// File helpers used by the CLI and tests.
 void save_scenario(const Scenario& sc, const std::string& path);
 Scenario load_scenario(const std::string& path);
-
-/// Schedules every flow whose source host `owner` maps to partition `p`
-/// on `sim`: open_flow at its start time, with completion wired into
-/// `digest`. A sequential run passes an all-zero `owner` and p = 0.
-void inject_flows(sim::Simulator& sim, const std::vector<FlowSpec>& flows,
-                  const std::vector<tcp::Host*>& hosts,
-                  const std::vector<std::uint32_t>& owner, std::uint32_t p,
-                  StateDigest& digest);
 
 }  // namespace esim::check

@@ -49,17 +49,16 @@ std::string check_memo(const PeriodicScenario& ps,
   specs.push_back({});  // sequential
   for (std::uint32_t p : partition_counts) specs.push_back({p});
 
-  const check::DiffRunner::Options options{};
   MemoConfig off = memo;
   off.enabled = false;
 
   std::ostringstream diag;
   for (const check::EngineSpec& spec : specs) {
-    MemoRunner off_runner{options, off};
+    MemoRunner off_runner{off};
     const MemoRunOutcome base =
         off_runner.run(ps.scenario, ps.pattern, spec, /*with_digest=*/true);
 
-    MemoRunner on_runner{options, memo};
+    MemoRunner on_runner{memo};
     const MemoRunOutcome memoized =
         on_runner.run(ps.scenario, ps.pattern, spec, /*with_digest=*/true);
 
@@ -74,8 +73,7 @@ std::string check_memo(const PeriodicScenario& ps,
     }
 
     // Anchor the chunked memo-off baseline to the seed harness.
-    const check::DiffRunner ref_runner{options};
-    const check::RunOutcome ref = ref_runner.run(ps.scenario, spec);
+    const check::RunOutcome ref = check::DiffRunner{}.run(ps.scenario, spec);
     const bool anchored = spec.partitions == 0
                               ? ref.digest == base.digest
                               : ref.digest.engine_invariant_equal(base.digest);
@@ -87,7 +85,7 @@ std::string check_memo(const PeriodicScenario& ps,
     }
 
     // Aggregate-only memoization must land on the same final state.
-    MemoRunner agg_runner{options, memo};
+    MemoRunner agg_runner{memo};
     const MemoRunOutcome agg =
         agg_runner.run(ps.scenario, ps.pattern, spec, /*with_digest=*/false);
     if (agg.final_state_fp != base.final_state_fp ||

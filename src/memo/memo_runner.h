@@ -2,8 +2,8 @@
 // recording each phase's state delta on first occurrence and
 // fast-forwarding over verified repeats (DESIGN.md §13).
 //
-// The runner mirrors check::DiffRunner's engine setup exactly — same
-// builders, same flow-injection idiom, same digest hookup — but chunks
+// The runner runs on the same check::Engine handle as check::DiffRunner
+// — same engine settings, same build, same digest hookup — but chunks
 // the run at workload phase boundaries (workload::PhasePattern). At every
 // boundary it recomputes a rolling per-phase counter summary, then, when
 // memoization is enabled and both boundary ends are quiescent (nothing
@@ -27,8 +27,8 @@
 #include <string>
 #include <vector>
 
-#include "check/diff_runner.h"
 #include "check/digest.h"
+#include "check/engine.h"
 #include "check/scenario.h"
 #include "memo/phase_cache.h"
 #include "workload/phases.h"
@@ -65,14 +65,11 @@ struct MemoRunOutcome {
 /// Executes periodic scenarios phase by phase with memoization.
 class MemoRunner {
  public:
-  MemoRunner(const check::DiffRunner::Options& engine_options,
-             const MemoConfig& memo)
-      : options_{engine_options}, memo_{memo}, cache_{memo.limits} {}
-
-  explicit MemoRunner(const MemoConfig& memo) : MemoRunner({}, memo) {}
+  explicit MemoRunner(const MemoConfig& memo)
+      : memo_{memo}, cache_{memo.limits} {}
 
   /// Runs `scenario` (whose flow list must be pattern.expand(1) — throws
-  /// otherwise) under `engine`, chunked at pattern boundaries. The phase
+  /// otherwise) under `spec`, chunked at pattern boundaries. The phase
   /// cache persists across run() calls on one MemoRunner, so a second run
   /// of the same scenario can hit from the first's recordings.
   ///
@@ -82,14 +79,13 @@ class MemoRunner {
   /// MemoRunOutcome::digest zero (the speedup mode).
   MemoRunOutcome run(const check::Scenario& scenario,
                      const workload::PhasePattern& pattern,
-                     const check::EngineSpec& engine, bool with_digest);
+                     const check::EngineSpec& spec, bool with_digest);
 
   /// Accumulated cache accounting across all run() calls.
   const MemoStats& stats() const { return stats_; }
   const PhaseCache& cache() const { return cache_; }
 
  private:
-  check::DiffRunner::Options options_;
   MemoConfig memo_;
   PhaseCache cache_;
   MemoStats stats_;

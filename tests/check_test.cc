@@ -1,7 +1,7 @@
 // Tests for the differential determinism harness (src/check): digest
 // lanes, scenario serialization/validation, the fuzzer's determinism and
-// shrinker, and DiffRunner engine comparisons including the injected
-// tie-break bug.
+// shrinker, the shared engine handle, and DiffRunner engine comparisons
+// including the injected tie-break bug.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +9,7 @@
 
 #include "check/diff_runner.h"
 #include "check/digest.h"
+#include "check/engine.h"
 #include "check/fuzzer.h"
 #include "check/scenario.h"
 
@@ -196,6 +197,42 @@ TEST(FuzzerTest, ShrinkMinimizesAgainstPredicate) {
   EXPECT_EQ(shrunk.flows[0].flow_id, keep_id);
   EXPECT_LT(shrunk.duration_ns, sc.duration_ns);
   EXPECT_NO_THROW(shrunk.validate());
+}
+
+TEST(CheckEngine, PartsFollowTheSpec) {
+  const Engine sequential{EngineSpec{}, 7};
+  EXPECT_EQ(sequential.parts().size(), 1u);
+  const Engine pdes{EngineSpec{3}, 7};
+  ASSERT_EQ(pdes.parts().size(), 3u);
+  const std::set<const sim::Simulator*> distinct(pdes.parts().begin(),
+                                                 pdes.parts().end());
+  EXPECT_EQ(distinct.size(), 3u);
+}
+
+TEST(CheckEngine, InjectFlowsSchedulesEachFlowOnItsSourcePartition) {
+  const Scenario sc = small_scenario();
+  for (const std::uint32_t partitions : {0u, 2u}) {
+    // Inverting the tie-break throws once events are queued, so the
+    // engine must apply it before the build and the injection.
+    Engine engine{EngineSpec{partitions, /*invert_tiebreak=*/true}, sc.seed};
+    const auto net = engine.build_full(sc.network_config());
+    std::vector<std::size_t> before;
+    for (const sim::Simulator* part : engine.parts()) {
+      before.push_back(part->events_pending());
+    }
+    StateDigest digest;
+    engine.attach(digest);
+    inject_flows(engine, sc.flows, net, digest);
+    for (std::uint32_t p = 0; p < engine.parts().size(); ++p) {
+      std::size_t owned = 0;
+      for (const FlowSpec& f : sc.flows) {
+        if (net.partition_of_host[f.src] == p) ++owned;
+      }
+      EXPECT_EQ(engine.parts()[p]->events_pending() - before[p], owned)
+          << "partitions " << partitions << ", part " << p;
+    }
+    EXPECT_EQ(digest.num_event_lanes(), engine.parts().size());
+  }
 }
 
 TEST(DiffRunnerTest, SequentialRunIsReproducible) {

@@ -223,147 +223,149 @@ int cmd_replay(const Args& args) {
   return run_checks(runner, sc, args, nullptr) ? 0 : 1;
 }
 
+std::string describe(const esim::check::HybridScenario& sc) {
+  return sc.summary();
+}
+
+std::string describe(const esim::memo::PeriodicScenario& ps) {
+  return ps.scenario.summary() + " (" + std::to_string(ps.pattern.phases) +
+         " phases of " + std::to_string(ps.pattern.period_ns) + "ns)";
+}
+
+/// Runs a seeded corpus: scenario k of args.n is make(args.seed + k),
+/// checked by check(scenario) -> "" on pass, else a diagnostic. Prints
+/// one line per scenario (the pass line, or the diagnostic and how to
+/// reproduce it alone) and returns the number of failures.
+template <typename Make, typename Check>
+int sweep(const Args& args, const std::string& mode, const char* pass_line,
+          Make make, Check check) {
+  int failures = 0;
+  for (int k = 0; k < args.n; ++k) {
+    const std::uint64_t scenario_seed =
+        args.seed + static_cast<std::uint64_t>(k);
+    const auto sc = make(scenario_seed);
+    std::cout << "[" << (k + 1) << "/" << args.n << "] seed " << scenario_seed
+              << ": " << describe(sc) << "\n";
+    const std::string diag = check(sc);
+    if (diag.empty()) {
+      std::cout << "  " << pass_line << "\n";
+    } else {
+      ++failures;
+      std::cout << diag << "\n  reproduce with: esim_diffcheck " << mode
+                << " --n 1 --seed " << scenario_seed << "\n";
+    }
+  }
+  return failures;
+}
+
+/// Prints the corpus verdict line; returns the exit code.
+int verdict(const Args& args, int failures, const std::string& line) {
+  std::cout << (args.n - failures) << "/" << args.n << " " << line << "\n";
+  return failures == 0 ? 0 : 1;
+}
+
+/// A clean corpus whose layer under test did no work (`engaged` == 0)
+/// proves nothing, so it fails with `why`.
+int require_engaged(int code, std::uint64_t engaged, const char* why) {
+  if (code == 0 && engaged == 0) {
+    std::cerr << "esim_diffcheck: " << why << "\n";
+    return 1;
+  }
+  return code;
+}
+
 int cmd_hybrid(const Args& args) {
   // Sequential-vs-PDES needs real partitioning; 1 would only re-run the
   // sequential config against a single-partition engine.
   const std::vector<std::uint32_t> partitions =
       args.partitions_set ? args.partitions : std::vector<std::uint32_t>{2, 3};
-  int failures = 0;
-  for (int k = 0; k < args.n; ++k) {
-    const std::uint64_t scenario_seed = args.seed + static_cast<std::uint64_t>(k);
-    const esim::check::HybridScenario sc =
-        esim::check::random_hybrid_scenario(scenario_seed);
-    std::cout << "[" << (k + 1) << "/" << args.n << "] seed " << scenario_seed
-              << ": " << sc.summary() << "\n";
-    const std::string diag = esim::check::check_hybrid(sc, partitions);
-    if (diag.empty()) {
-      std::cout << "  batching on/off + sequential vs pdes: EQUIVALENT\n";
-    } else {
-      ++failures;
-      std::cout << diag << "\n  reproduce with: esim_diffcheck hybrid --n 1 "
-                << "--seed " << scenario_seed << "\n";
-    }
-  }
-  std::cout << (args.n - failures) << "/" << args.n
-            << " hybrid scenarios digest-identical with batching active\n";
-  return failures == 0 ? 0 : 1;
+  const int failures = sweep(
+      args, "hybrid", "batching on/off + sequential vs pdes: EQUIVALENT",
+      esim::check::random_hybrid_scenario,
+      [&](const esim::check::HybridScenario& sc) {
+        return esim::check::check_hybrid(sc, partitions);
+      });
+  return verdict(args, failures,
+                 "hybrid scenarios digest-identical with batching active");
 }
 
 int cmd_fidelity(const Args& args) {
   const std::vector<std::uint32_t> partitions =
       args.partitions_set ? args.partitions : std::vector<std::uint32_t>{2, 4};
-  int failures = 0;
   std::uint64_t rows = 0;
   std::uint64_t shadow = 0;
-  for (int k = 0; k < args.n; ++k) {
-    const std::uint64_t scenario_seed =
-        args.seed + static_cast<std::uint64_t>(k);
-    const esim::check::HybridScenario sc =
-        esim::check::random_hybrid_scenario(scenario_seed);
-    std::cout << "[" << (k + 1) << "/" << args.n << "] seed " << scenario_seed
-              << ": " << sc.summary() << "\n";
-    const std::string diag =
-        esim::check::check_fidelity(sc, partitions, &rows, &shadow);
-    if (diag.empty()) {
-      std::cout << "  fidelity off vs on: DIGEST-IDENTICAL\n";
-    } else {
-      ++failures;
-      std::cout << diag << "\n  reproduce with: esim_diffcheck fidelity "
-                << "--n 1 --seed " << scenario_seed << "\n";
-    }
-  }
-  std::cout << (args.n - failures) << "/" << args.n
-            << " scenarios digest-identical with fidelity on (" << shadow
-            << " shadow samples, " << rows << " time-series rows)\n";
-  if (failures == 0 && shadow == 0) {
-    std::cerr << "esim_diffcheck: fidelity check produced ZERO shadow "
-                 "samples — the observatory never engaged\n";
-    return 1;
-  }
-  return failures == 0 ? 0 : 1;
+  const int failures = sweep(
+      args, "fidelity", "fidelity off vs on: DIGEST-IDENTICAL",
+      esim::check::random_hybrid_scenario,
+      [&](const esim::check::HybridScenario& sc) {
+        return esim::check::check_fidelity(sc, partitions, &rows, &shadow);
+      });
+  return require_engaged(
+      verdict(args, failures,
+              "scenarios digest-identical with fidelity on (" +
+                  std::to_string(shadow) + " shadow samples, " +
+                  std::to_string(rows) + " time-series rows)"),
+      shadow,
+      "fidelity check produced ZERO shadow samples — the observatory never "
+      "engaged");
 }
 
 int cmd_granularity(const Args& args) {
   const std::vector<std::uint32_t> partitions =
       args.partitions_set ? args.partitions : std::vector<std::uint32_t>{2, 4};
-  int failures = 0;
   std::uint64_t transitions = 0;
-  for (int k = 0; k < args.n; ++k) {
-    const std::uint64_t scenario_seed =
-        args.seed + static_cast<std::uint64_t>(k);
-    const esim::check::HybridScenario sc =
-        esim::check::random_granularity_scenario(scenario_seed);
-    std::cout << "[" << (k + 1) << "/" << args.n << "] seed " << scenario_seed
-              << ": " << sc.summary() << "\n";
-    const std::string diag =
-        esim::check::check_granularity(sc, partitions, &transitions);
-    if (diag.empty()) {
-      std::cout << "  adaptive tiers, batching on/off + sequential vs pdes: "
-                   "EQUIVALENT\n";
-    } else {
-      ++failures;
-      std::cout << diag << "\n  reproduce with: esim_diffcheck granularity "
-                << "--n 1 --seed " << scenario_seed << "\n";
-    }
-  }
-  std::cout << (args.n - failures) << "/" << args.n
-            << " scenarios digest-identical with the adaptive controller on ("
-            << transitions << " tier transitions)\n";
-  if (failures == 0 && transitions == 0) {
-    std::cerr << "esim_diffcheck: granularity check executed ZERO tier "
-                 "transitions — the controller never engaged\n";
-    return 1;
-  }
-  return failures == 0 ? 0 : 1;
+  const int failures = sweep(
+      args, "granularity",
+      "adaptive tiers, batching on/off + sequential vs pdes: EQUIVALENT",
+      esim::check::random_granularity_scenario,
+      [&](const esim::check::HybridScenario& sc) {
+        return esim::check::check_granularity(sc, partitions, &transitions);
+      });
+  return require_engaged(
+      verdict(args, failures,
+              "scenarios digest-identical with the adaptive controller on (" +
+                  std::to_string(transitions) + " tier transitions)"),
+      transitions,
+      "granularity check executed ZERO tier transitions — the controller "
+      "never engaged");
 }
 
 int cmd_memo(const Args& args) {
   const std::vector<std::uint32_t> partitions =
       args.partitions_set ? args.partitions : std::vector<std::uint32_t>{2, 4};
-  // Small flows that drain well inside half a period, so phase boundaries
-  // are usually quiescent and the memo layer actually engages.
-  ScenarioFuzzer::Options fuzz_options;
-  fuzz_options.min_flows = 3;
-  fuzz_options.max_flows = 6;
-  fuzz_options.max_flow_mss = 20;
-  int failures = 0;
   esim::memo::MemoStats totals;
-  for (int k = 0; k < args.n; ++k) {
-    const std::uint64_t scenario_seed =
-        args.seed + static_cast<std::uint64_t>(k);
-    ScenarioFuzzer fuzzer{scenario_seed, fuzz_options};
-    const Scenario base = fuzzer.next();
-    const std::uint32_t phases =
-        3 + static_cast<std::uint32_t>(scenario_seed % 3);
-    const std::int64_t period_ns =
-        900'000 + static_cast<std::int64_t>(scenario_seed % 5) * 150'000;
-    const esim::memo::PeriodicScenario ps =
-        esim::memo::make_periodic(base, phases, period_ns);
-    std::cout << "[" << (k + 1) << "/" << args.n << "] seed " << scenario_seed
-              << ": " << ps.scenario.summary() << " (" << phases
-              << " phases of " << period_ns << "ns)\n";
-    const std::string diag =
-        esim::memo::check_memo(ps, partitions, {}, &totals);
-    if (diag.empty()) {
-      std::cout << "  memo on/off + chunked vs reference: EQUIVALENT\n";
-    } else {
-      ++failures;
-      std::cout << diag << "\n  reproduce with: esim_diffcheck memo --n 1 "
-                << "--seed " << scenario_seed << "\n";
-    }
-  }
-  std::cout << (args.n - failures) << "/" << args.n
-            << " periodic scenarios digest-identical with memoization on ("
-            << totals.hits << " hits, " << totals.misses << " misses, "
-            << totals.near_misses << " near misses, " << totals.store_aborts
-            << " store aborts, " << totals.fast_forwarded_ns
-            << "ns fast-forwarded)\n";
-  if (failures == 0 && totals.hits == 0) {
-    std::cerr << "esim_diffcheck: memo check produced ZERO cache hits — "
-                 "memoization never engaged\n";
-    return 1;
-  }
-  return failures == 0 ? 0 : 1;
+  const int failures = sweep(
+      args, "memo", "memo on/off + chunked vs reference: EQUIVALENT",
+      [](std::uint64_t scenario_seed) {
+        // Small flows that drain well inside half a period, so phase
+        // boundaries are usually quiescent and the memo layer actually
+        // engages.
+        ScenarioFuzzer::Options fuzz_options;
+        fuzz_options.min_flows = 3;
+        fuzz_options.max_flows = 6;
+        fuzz_options.max_flow_mss = 20;
+        ScenarioFuzzer fuzzer{scenario_seed, fuzz_options};
+        const Scenario base = fuzzer.next();
+        const std::uint32_t phases =
+            3 + static_cast<std::uint32_t>(scenario_seed % 3);
+        const std::int64_t period_ns =
+            900'000 + static_cast<std::int64_t>(scenario_seed % 5) * 150'000;
+        return esim::memo::make_periodic(base, phases, period_ns);
+      },
+      [&](const esim::memo::PeriodicScenario& ps) {
+        return esim::memo::check_memo(ps, partitions, {}, &totals);
+      });
+  return require_engaged(
+      verdict(args, failures,
+              "periodic scenarios digest-identical with memoization on (" +
+                  std::to_string(totals.hits) + " hits, " +
+                  std::to_string(totals.misses) + " misses, " +
+                  std::to_string(totals.near_misses) + " near misses, " +
+                  std::to_string(totals.store_aborts) + " store aborts, " +
+                  std::to_string(totals.fast_forwarded_ns) +
+                  "ns fast-forwarded)"),
+      totals.hits,
+      "memo check produced ZERO cache hits — memoization never engaged");
 }
 
 /// A scenario engineered to put two packets on one switch at the same
