@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/engine.h"
 #include "core/experiment.h"
 #include "flowsim/flow_level.h"
 #include "stats/distance.h"
@@ -24,12 +25,7 @@ namespace {
 using namespace esim;  // NOLINT
 using sim::SimTime;
 
-struct FlowSpec {
-  std::uint64_t id;
-  net::HostId src, dst;
-  std::uint64_t bytes;
-  SimTime arrival;
-};
+using core::FlowSpec;
 
 // One deterministic flow list, every flow touching cluster 0 (the set
 // measurable in the hybrid run, which elides approx<->approx traffic).
@@ -51,8 +47,8 @@ std::vector<FlowSpec> make_flows(const net::ClosSpec& spec, double load,
     if (spec.cluster_of_host(src) != 0 && spec.cluster_of_host(dst) != 0) {
       continue;  // keep only flows the hybrid run can measure
     }
-    flows.push_back(FlowSpec{id++, src, dst, sizes->sample(rng),
-                             SimTime::from_seconds_f(t)});
+    flows.push_back(FlowSpec{src, dst, sizes->sample(rng),
+                             SimTime::from_seconds_f(t).ns(), id++});
   }
   return flows;
 }
@@ -64,36 +60,39 @@ struct Outcome {
   std::size_t completed = 0;
 };
 
-Outcome run_packet_level(const core::NetworkConfig& net_cfg,
-                         const std::vector<FlowSpec>& flows) {
-  sim::Simulator sim{3};
-  auto net = core::build_full_network(sim, net_cfg);
+/// Schedules the flow list on `engine`, runs it to `end` and collects
+/// the FCTs.
+Outcome run_flows(core::Engine& engine, const core::BuiltNetwork& net,
+                  const std::vector<FlowSpec>& flows, SimTime end) {
   Outcome out;
-  for (const auto& f : flows) {
-    sim.schedule_at(f.arrival, [&net, &out, f, &sim] {
-      auto* c = net.hosts[f.src]->open_flow(f.dst, f.bytes, f.id);
-      const SimTime start = sim.now();
-      c->on_complete = [&out, start, &sim, bytes = f.bytes] {
-        const double fct = (sim.now() - start).to_seconds();
+  engine.schedule_flows(
+      net, flows, [&out](const FlowSpec& f, SimTime done) {
+        const double fct = (done - SimTime::from_ns(f.start_ns)).to_seconds();
         out.fct.add(fct);
-        if (bytes >= 100'000) out.fct_large.add(fct);
+        if (f.bytes >= 100'000) out.fct_large.add(fct);
         ++out.completed;
-      };
-    });
-  }
+      });
   const auto t0 = std::chrono::steady_clock::now();
-  sim.run();
+  engine.run_until(end);
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return out;
 }
 
+Outcome run_packet_level(const core::NetworkConfig& net_cfg,
+                         const std::vector<FlowSpec>& flows) {
+  core::Engine engine{{.num_partitions = 0, .seed = 3}};
+  const auto net = engine.build_full(net_cfg);
+  return run_flows(engine, net, flows, SimTime::max());  // to exhaustion
+}
+
 Outcome run_flow_level(const net::ClosSpec& spec,
                        const std::vector<FlowSpec>& flows) {
   flowsim::FlowLevelSimulator sim{spec, 10e9};
   for (const auto& f : flows) {
-    sim.add_flow(f.id, f.src, f.dst, f.bytes, f.arrival);
+    sim.add_flow(f.flow_id, f.src, f.dst, f.bytes,
+                 SimTime::from_ns(f.start_ns));
   }
   Outcome out;
   const auto t0 = std::chrono::steady_clock::now();
@@ -112,34 +111,16 @@ Outcome run_flow_level(const net::ClosSpec& spec,
 Outcome run_hybrid(const core::ExperimentConfig& cfg,
                    const core::TrainedModels& models,
                    const std::vector<FlowSpec>& flows) {
-  sim::Simulator sim{3};
+  core::Engine engine{{.num_partitions = 0, .seed = 3}};
   core::HybridConfig hcfg;
   hcfg.net = cfg.net;
   hcfg.approx = cfg.approx;
   hcfg.approx.macro = cfg.macro;
-  auto net = core::build_hybrid_network(sim, hcfg, *models.ingress,
-                                        *models.egress);
-  Outcome out;
-  for (const auto& f : flows) {
-    sim.schedule_at(f.arrival, [&net, &out, f, &sim] {
-      auto* c = net.hosts[f.src]->open_flow(f.dst, f.bytes, f.id);
-      const SimTime start = sim.now();
-      c->on_complete = [&out, start, &sim, bytes = f.bytes] {
-        const double fct = (sim.now() - start).to_seconds();
-        out.fct.add(fct);
-        if (bytes >= 100'000) out.fct_large.add(fct);
-        ++out.completed;
-      };
-    });
-  }
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto net =
+      engine.build_hybrid(hcfg, *models.ingress, *models.egress);
   // Hybrid runs never go fully idle (macro window timers tick), so run
   // to a generous horizon instead of exhaustion.
-  sim.run_until(SimTime::from_sec(10));
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return out;
+  return run_flows(engine, net, flows, SimTime::from_sec(10));
 }
 
 }  // namespace

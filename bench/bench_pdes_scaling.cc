@@ -1,9 +1,9 @@
 // PDES scale-out against the sequential engine (strong scaling).
 //
 // One fixed multi-cluster fat-tree and one pre-generated flow list (same
-// seed, same flows, same flow ids) run three ways:
-//   * sequential — a plain Simulator over core::build_full_network, the
-//     reference every speedup below is taken against;
+// seed, same flows, same flow ids) run three ways on core::Engine:
+//   * sequential — the single Simulator, the reference every speedup
+//     below is taken against;
 //   * baseline   — ParallelEngine with the global YAWNS window and
 //     rack-round-robin placement (the engine's original configuration);
 //   * scale-out  — per-pair lookahead windows + graph-cut placement + SPSC
@@ -31,9 +31,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/full_builder.h"
-#include "core/pdes_builder.h"
-#include "sim/parallel.h"
+#include "core/engine.h"
 #include "sim/random.h"
 #include "telemetry/report.h"
 #include "workload/flow_size.h"
@@ -42,6 +40,7 @@
 namespace {
 
 using namespace esim;  // NOLINT
+using core::FlowSpec;
 using core::NetworkConfig;
 using core::PlacementPolicy;
 using sim::ParallelEngine;
@@ -67,26 +66,19 @@ NetworkConfig fat_tree() {
   return cfg;
 }
 
-struct Flow {
-  std::int64_t start_ns = 0;
-  net::HostId src = 0;
-  net::HostId dst = 0;
-  std::uint64_t bytes = 0;
-};
-
 // Poisson arrivals at `load` of the aggregate host uplink capacity,
 // uniform endpoints, web-search-like sizes. Start times are strictly
 // increasing so no host opens two flows at one instant (its port choice
 // would then depend on injection order, which differs across engines).
-std::vector<Flow> make_flows(const net::ClosSpec& spec, double load,
-                             SimTime stop_at) {
+std::vector<FlowSpec> make_flows(const net::ClosSpec& spec, double load,
+                                 SimTime stop_at) {
   auto sizes = workload::mini_web_distribution();
   workload::UniformTraffic matrix{spec.total_hosts()};
   sim::Rng rng{kSeed};
   const double host_bps = 10e9;
   const double flows_per_sec =
       load * spec.total_hosts() * host_bps / (8.0 * sizes->mean());
-  std::vector<Flow> flows;
+  std::vector<FlowSpec> flows;
   double t = 0.0;
   std::int64_t last_ns = -1;
   for (;;) {
@@ -96,7 +88,8 @@ std::vector<Flow> make_flows(const net::ClosSpec& spec, double load,
     ns = std::max(ns, last_ns + 1);
     last_ns = ns;
     const auto [src, dst] = matrix.sample(rng);
-    flows.push_back(Flow{ns, src, dst, sizes->sample(rng)});
+    flows.push_back(FlowSpec{src, dst, sizes->sample(rng), ns,
+                             flows.size() + 1});
   }
   return flows;
 }
@@ -106,51 +99,18 @@ std::vector<Flow> make_flows(const net::ClosSpec& spec, double load,
 struct Run {
   double wall_s = 0;
   std::vector<std::int64_t> end_ns;
-  std::uint64_t events = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t cross_messages = 0;
+  core::EngineCounters counters;
   std::uint64_t cut_links = 0;
   double sync_wait_fraction = 0;
   /// Busiest partition's events / mean events per partition.
   double events_max_over_mean = 0;
 };
 
-void inject(sim::Simulator& sim, const std::vector<tcp::Host*>& hosts,
-            const std::vector<Flow>& flows, std::vector<std::int64_t>& end_ns,
-            const std::vector<bool>* owned) {
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const Flow& f = flows[i];
-    if (owned != nullptr && !(*owned)[f.src]) continue;
-    tcp::Host* host = hosts[f.src];
-    sim.schedule_at(SimTime::from_ns(f.start_ns), [host, f, i, &end_ns] {
-      auto* conn = host->open_flow(f.dst, f.bytes, i + 1);
-      conn->on_complete = [host, i, &end_ns] {
-        end_ns[i] = host->sim().now().ns();
-      };
-    });
-  }
-}
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-Run run_sequential(const std::vector<Flow>& flows, SimTime horizon) {
-  Run run;
-  run.end_ns.assign(flows.size(), -1);
-  sim::Simulator sim{kSeed};
-  auto net = core::build_full_network(sim, fat_tree());
-  inject(sim, net.hosts, flows, run.end_ns, nullptr);
-  const auto t0 = std::chrono::steady_clock::now();
-  sim.run_until(horizon);
-  run.wall_s = seconds_since(t0);
-  run.events = sim.events_executed();
-  return run;
-}
-
-Run run_pdes(std::uint32_t partitions, bool scale_out,
-             const std::vector<Flow>& flows, SimTime horizon) {
+/// One run: `partitions` == 0 is the sequential engine; otherwise PDES,
+/// as scale-out (per-pair windows, graph-cut) or baseline (global
+/// window, round-robin).
+Run run(std::uint32_t partitions, bool scale_out,
+        const std::vector<FlowSpec>& flows, SimTime horizon) {
   ParallelEngine::Config ecfg;
   ecfg.num_partitions = partitions;
   ecfg.lookahead = SimTime::from_us(1);
@@ -158,39 +118,37 @@ Run run_pdes(std::uint32_t partitions, bool scale_out,
   ecfg.deterministic_overhead = true;
   ecfg.window_mode = scale_out ? ParallelEngine::WindowMode::per_pair
                                : ParallelEngine::WindowMode::global;
-  ParallelEngine engine{ecfg};
-  auto net = core::build_clos_partitioned(
-      engine, fat_tree(),
+  core::Engine engine{ecfg};
+  auto net = engine.build_full(
+      fat_tree(),
       scale_out ? PlacementPolicy::graph_cut : PlacementPolicy::round_robin);
 
   Run run;
   run.end_ns.assign(flows.size(), -1);
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    std::vector<bool> owned(net.spec.total_hosts());
-    for (net::HostId h = 0; h < owned.size(); ++h) {
-      owned[h] = net.partition_of_host[h] == p;
-    }
-    inject(engine.partition(p).sim(), net.hosts, flows, run.end_ns, &owned);
-  }
+  engine.schedule_flows(net, flows,
+                        [&run](const FlowSpec& f, SimTime end) {
+                          run.end_ns[f.flow_id - 1] = end.ns();
+                        });
   const auto t0 = std::chrono::steady_clock::now();
   engine.run_until(horizon);
-  run.wall_s = seconds_since(t0);
-  run.events = engine.stats().events_executed;
-  run.rounds = engine.stats().sync_rounds;
-  run.cross_messages = engine.stats().cross_messages;
+  run.wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  run.counters = engine.counters();
   run.cut_links = net.plan.cut_links;
+  const std::size_t parts = engine.parts().size();
   run.sync_wait_fraction =
-      run.wall_s > 0
-          ? engine.stats().sync_wait_seconds / (partitions * run.wall_s)
-          : 0;
-  std::uint64_t busiest = 0;
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    busiest = std::max(busiest, engine.partition(p).sim().events_executed());
-  }
-  run.events_max_over_mean =
-      run.events > 0 ? static_cast<double>(busiest) * partitions /
-                           static_cast<double>(run.events)
+      run.wall_s > 0 ? run.counters.sync_wait_seconds / (parts * run.wall_s)
                      : 0;
+  std::uint64_t busiest = 0;
+  for (const sim::Simulator* part : engine.parts()) {
+    busiest = std::max(busiest, part->events_executed());
+  }
+  const std::uint64_t events = run.counters.events_executed;
+  run.events_max_over_mean =
+      events > 0 ? static_cast<double>(busiest) * parts /
+                       static_cast<double>(events)
+                 : 0;
   return run;
 }
 
@@ -229,15 +187,16 @@ void record(telemetry::RunReport& report, const std::string& key,
   report.set(key + ".wall_s.max", pt.wall_s.max);
   report.set(key + ".events_per_sec",
              pt.wall_s.median > 0
-                 ? static_cast<double>(pt.first.events) / pt.wall_s.median
+                 ? static_cast<double>(pt.first.counters.events_executed) /
+                       pt.wall_s.median
                  : 0.0);
   report.set(key + ".speedup_vs_sequential",
              pt.wall_s.median > 0 ? seq_wall_s / pt.wall_s.median : 0.0);
   report.set(key + ".sync_wait_fraction.median", pt.sync_wait_fraction.median);
-  report.set(key + ".sync_rounds", pt.first.rounds);
-  report.set(key + ".cross_messages", pt.first.cross_messages);
+  report.set(key + ".sync_rounds", pt.first.counters.sync_rounds);
+  report.set(key + ".cross_messages", pt.first.counters.cross_messages);
   report.set(key + ".cut_links", pt.first.cut_links);
-  report.set(key + ".events", pt.first.events);
+  report.set(key + ".events", pt.first.counters.events_executed);
   report.set(key + ".events_max_over_mean", pt.first.events_max_over_mean);
   report.set(key + ".matches_sequential", pt.matches_sequential);
 }
@@ -271,20 +230,22 @@ int main() {
   report.set("topology",
              "clos c8 t8 a4 h2 cores4, core links 8us (strong scaling)");
 
-  const Point seq = measure(reps, nullptr,
-                            [&] { return run_sequential(flows, horizon); });
+  const Point seq = measure(reps, nullptr, [&] {
+    return run(0, /*scale_out=*/true, flows, horizon);
+  });
   std::uint64_t completed = 0;
   for (auto e : seq.first.end_ns) completed += e >= 0 ? 1 : 0;
   report.set("sequential.wall_s.median", seq.wall_s.median);
   report.set("sequential.wall_s.min", seq.wall_s.min);
   report.set("sequential.wall_s.max", seq.wall_s.max);
-  report.set("sequential.events", seq.first.events);
+  report.set("sequential.events", seq.first.counters.events_executed);
   report.set("sequential.flows_completed", completed);
   std::printf(
       "%zu flows (%llu completed), %llu events; sequential run_until "
       "%.3f s median (%.3f..%.3f), %d reps; host %u hardware threads\n\n",
       flows.size(), static_cast<unsigned long long>(completed),
-      static_cast<unsigned long long>(seq.first.events), seq.wall_s.median,
+      static_cast<unsigned long long>(seq.first.counters.events_executed),
+      seq.wall_s.median,
       seq.wall_s.min, seq.wall_s.max, reps, nproc);
 
   std::printf("%-6s %-30s %-30s %-9s %s\n", "P",
@@ -295,10 +256,10 @@ int main() {
   std::uint32_t best_p = 0;
   for (const auto P : partition_counts) {
     const auto base = measure(reps, &seq.first, [&] {
-      return run_pdes(P, /*scale_out=*/false, flows, horizon);
+      return run(P, /*scale_out=*/false, flows, horizon);
     });
     const auto fast = measure(reps, &seq.first, [&] {
-      return run_pdes(P, /*scale_out=*/true, flows, horizon);
+      return run(P, /*scale_out=*/true, flows, horizon);
     });
     all_match = all_match && base.matches_sequential && fast.matches_sequential;
     const double base_x = seq.wall_s.median / base.wall_s.median;
@@ -312,9 +273,10 @@ int main() {
         "%-6u %-8.3g (%4.1f%%, %7llu)        %-8.3g (%4.1f%%, %7llu)        "
         "%-9.3g %-9.3g%s%s\n",
         P, base_x, 100 * base.sync_wait_fraction.median,
-        static_cast<unsigned long long>(base.first.rounds), fast_x,
+        static_cast<unsigned long long>(base.first.counters.sync_rounds),
+        fast_x,
         100 * fast.sync_wait_fraction.median,
-        static_cast<unsigned long long>(fast.first.rounds),
+        static_cast<unsigned long long>(fast.first.counters.sync_rounds),
         base.wall_s.median / fast.wall_s.median,
         fast.first.events_max_over_mean,
         oversubscribed ? "  [oversubscribed]" : "",

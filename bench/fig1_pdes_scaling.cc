@@ -1,4 +1,3 @@
-#include <chrono>
 // Figure 1: simulation performance (simulated seconds per wall-clock
 // second) on leaf-spine topologies of increasing size, for a single-
 // threaded engine versus conservative PDES spread over 1, 2, and 4
@@ -12,14 +11,13 @@
 // parallelism cannot help, and the curves show the paper's headline
 // effect — synchronization overhead makes PDES fall further behind the
 // single thread as the fabric (and thus cross-partition traffic) grows.
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <vector>
 
 #include "bench_common.h"
-#include "core/full_builder.h"
-#include "core/pdes_builder.h"
-#include "sim/parallel.h"
+#include "core/engine.h"
 #include "telemetry/report.h"
 #include "workload/generator.h"
 
@@ -50,59 +48,27 @@ struct Measurement {
 
 double run_duration_ms() { return bench::quick_mode() ? 0.5 : 2.0; }
 
-Measurement run_single(std::uint32_t n, double load) {
-  sim::Simulator sim{17};
-  auto net = core::build_full_network(sim, leaf_spine(n));
-  auto sizes = workload::mini_web_distribution();
-  workload::UniformTraffic matrix{net.spec.total_hosts()};
-  workload::TrafficGenerator::Config gcfg;
-  gcfg.load = load;
-  const auto duration = SimTime::from_seconds_f(run_duration_ms() / 1e3);
-  gcfg.stop_at = duration;
-  auto* gen = sim.add_component<workload::TrafficGenerator>(
-      "gen", net.hosts, sizes.get(), &matrix, gcfg);
-  gen->start();
-  const auto start = std::chrono::steady_clock::now();
-  sim.run_until(duration);
-  Measurement m;
-  m.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  m.sim_seconds = duration.to_seconds();
-  m.events = sim.events_executed();
-  return m;
-}
-
-Measurement run_pdes(std::uint32_t n, double load, std::uint32_t machines) {
+/// One run: `machines` == 0 is the single-threaded engine; otherwise
+/// PDES over 4 partitions with that many machines' modeled MPI costs.
+Measurement run(std::uint32_t n, double load, std::uint32_t machines) {
   sim::ParallelEngine::Config ecfg;
-  ecfg.num_partitions = 4;
+  ecfg.num_partitions = machines == 0 ? 0 : 4;
   ecfg.lookahead = SimTime::from_us(1);
   ecfg.seed = 17;
   // Modeled MPI costs: a collective per window plus per-message transfer
   // cost; both grow with machine count (shared memory vs NIC + wire).
   ecfg.round_overhead_us = 3.0 * machines;
   ecfg.per_message_overhead_us = machines == 1 ? 0.2 : 0.6 * machines;
-  sim::ParallelEngine engine{ecfg};
+  core::Engine engine{ecfg};
 
-  auto net = core::build_clos_partitioned(engine, leaf_spine(n));
+  auto net = engine.build_full(leaf_spine(n));
   auto sizes = workload::mini_web_distribution();
   workload::UniformTraffic matrix{net.spec.total_hosts()};
   const auto duration = SimTime::from_seconds_f(run_duration_ms() / 1e3);
-  std::vector<workload::TrafficGenerator*> gens;
-  for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
-    workload::TrafficGenerator::Config gcfg;
-    gcfg.load = load;
-    gcfg.stop_at = duration;
-    auto* gen =
-        engine.partition(p).sim().add_component<workload::TrafficGenerator>(
-            "gen" + std::to_string(p), net.hosts, sizes.get(), &matrix,
-            gcfg);
-    gen->admission_filter = [&net, p](net::HostId src, net::HostId) {
-      return net.partition_of_host[src] == p;
-    };
-    gen->start();
-    gens.push_back(gen);
-  }
+  workload::TrafficGenerator::Config gcfg;
+  gcfg.load = load;
+  gcfg.stop_at = duration;
+  engine.start_generators(net, sizes.get(), &matrix, gcfg);
   const auto start = std::chrono::steady_clock::now();
   engine.run_until(duration);
   Measurement m;
@@ -110,7 +76,7 @@ Measurement run_pdes(std::uint32_t n, double load, std::uint32_t machines) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   m.sim_seconds = duration.to_seconds();
-  m.events = engine.stats().events_executed;
+  m.events = engine.counters().events_executed;
   return m;
 }
 
@@ -132,10 +98,10 @@ int main() {
   std::printf("%-8s %-16s %-16s %-16s %-16s\n", "ToRs", "single-thread",
               "pdes-1machine", "pdes-2machines", "pdes-4machines");
   for (const auto n : sizes) {
-    const auto single = run_single(n, load);
-    const auto p1 = run_pdes(n, load, 1);
-    const auto p2 = run_pdes(n, load, 2);
-    const auto p4 = run_pdes(n, load, 4);
+    const auto single = run(n, load, 0);
+    const auto p1 = run(n, load, 1);
+    const auto p2 = run(n, load, 2);
+    const auto p4 = run(n, load, 4);
     std::printf("%-8u %-16.4g %-16.4g %-16.4g %-16.4g\n", n, single.rate(),
                 p1.rate(), p2.rate(), p4.rate());
     std::fflush(stdout);

@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/engine.h"
 #include "core/experiment.h"
-#include "core/hybrid_builder.h"
 #include "core/run_report.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -29,9 +29,7 @@ using sim::SimTime;
 
 struct Outcome {
   double wall_seconds = 0;
-  std::uint64_t events = 0;
-  std::uint64_t cross_messages = 0;
-  std::uint64_t sync_rounds = 0;
+  core::EngineCounters counters;
   std::uint64_t flows = 0;
   telemetry::Snapshot metrics;
 };
@@ -66,36 +64,26 @@ Outcome run_parallel_hybrid(const core::ExperimentConfig& cfg,
   ecfg.lookahead = SimTime::from_us(1);
   ecfg.seed = cfg.seed + 1;
   telemetry::Registry registry;  // outlives the engine publishing into it
-  sim::ParallelEngine engine{ecfg};
+  core::Engine engine{ecfg};
   engine.set_telemetry(&registry);  // before components are built
   core::HybridConfig hcfg;
   hcfg.net = cfg.net;
   hcfg.approx = cfg.approx;
   hcfg.approx.macro = cfg.macro;
-  auto out = core::build_hybrid_network_partitioned(
-      engine, hcfg, *models.ingress, *models.egress);
+  auto out = engine.build_hybrid(hcfg, *models.ingress, *models.egress);
 
   auto sizes = workload::mini_web_distribution();
   workload::ClusterMixTraffic matrix{cfg.net.spec, cfg.intra_fraction};
-  std::vector<workload::TrafficGenerator*> gens;
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    workload::TrafficGenerator::Config gcfg;
-    gcfg.load = cfg.load;
-    gcfg.stop_at = cfg.duration;
-    auto* gen =
-        engine.partition(p).sim().add_component<workload::TrafficGenerator>(
-            "gen" + std::to_string(p), out.hosts, sizes.get(), &matrix,
-            gcfg);
-    gen->admission_filter = [&out, p, &cfg](net::HostId src,
-                                            net::HostId dst) {
-      if (out.partition_of_host[src] != p) return false;
-      // Elide approx<->approx traffic, as in the sequential hybrid.
-      return cfg.net.spec.cluster_of_host(src) == 0 ||
-             cfg.net.spec.cluster_of_host(dst) == 0;
-    };
-    gen->start();
-    gens.push_back(gen);
-  }
+  workload::TrafficGenerator::Config gcfg;
+  gcfg.load = cfg.load;
+  gcfg.stop_at = cfg.duration;
+  // Elide approx<->approx traffic, as in the sequential hybrid.
+  const auto gens = engine.start_generators(
+      out, sizes.get(), &matrix, gcfg,
+      [&cfg](net::HostId src, net::HostId dst) {
+        return cfg.net.spec.cluster_of_host(src) == 0 ||
+               cfg.net.spec.cluster_of_host(dst) == 0;
+      });
 
   Outcome o;
   const auto t0 = std::chrono::steady_clock::now();
@@ -103,9 +91,7 @@ Outcome run_parallel_hybrid(const core::ExperimentConfig& cfg,
   o.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  o.events = engine.stats().events_executed;
-  o.cross_messages = engine.stats().cross_messages;
-  o.sync_rounds = engine.stats().sync_rounds;
+  o.counters = engine.counters();
   for (auto* g : gens) o.flows += g->launched();
   o.metrics = registry.snapshot();
   return o;
@@ -160,14 +146,14 @@ int main() {
           "%-15s (P=%u) wall %.3fs, %llu events, %llu cross msgs over "
           "%llu rounds\n",
           "hybrid PDES", parts, par.wall_seconds,
-          static_cast<unsigned long long>(par.events),
-          static_cast<unsigned long long>(par.cross_messages),
-          static_cast<unsigned long long>(par.sync_rounds));
+          static_cast<unsigned long long>(par.counters.events_executed),
+          static_cast<unsigned long long>(par.counters.cross_messages),
+          static_cast<unsigned long long>(par.counters.sync_rounds));
       const std::string ps = section + ".pdes_p" + std::to_string(parts);
       report.set(ps + ".wall_seconds", par.wall_seconds);
-      report.set(ps + ".events_executed", par.events);
-      report.set(ps + ".cross_messages", par.cross_messages);
-      report.set(ps + ".sync_rounds", par.sync_rounds);
+      report.set(ps + ".events_executed", par.counters.events_executed);
+      report.set(ps + ".cross_messages", par.counters.cross_messages);
+      report.set(ps + ".sync_rounds", par.counters.sync_rounds);
       report.set(ps + ".flows_launched", par.flows);
       report.add_metrics(par.metrics, ps + ".metrics");
     }
@@ -182,8 +168,8 @@ int main() {
       "expected shape: the partitioned hybrid exchanges only "
       "boundary-crossing packets between islands (compare the cross "
       "message count with fig1's full-fabric PDES at similar scale), so "
-      "parallel overhead is small; with real cores (not this 1-CPU "
-      "container) the islands' model inference overlaps and yields the "
-      "additional speedup the paper reports.");
+      "parallel overhead is small; given as many cores as partitions, "
+      "the islands' model inference overlaps and yields the additional "
+      "speedup the paper reports.");
   return 0;
 }

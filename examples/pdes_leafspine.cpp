@@ -16,10 +16,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "core/full_builder.h"
-#include "core/pdes_builder.h"
+#include "core/engine.h"
 #include "telemetry/metrics.h"
 #include "telemetry/report.h"
 #include "telemetry/trace.h"
@@ -50,103 +48,70 @@ int main() {
               telemetry_on ? " (telemetry on)" : "");
 
   telemetry::RunReport report{"pdes_leafspine"};
+  telemetry::TraceSession trace;
+  if (telemetry_on) trace.start();
 
-  // --- sequential reference ---
-  {
-    // Registry before the simulator: its flushers capture the sim, so the
-    // sim must be destroyed first (and the snapshot taken before that).
+  // The same run twice: the sequential reference (0 partitions), then
+  // conservative PDES over 4 partitions.
+  for (const std::uint32_t partitions : {0u, 4u}) {
+    sim::ParallelEngine::Config ecfg;
+    ecfg.num_partitions = partitions;
+    ecfg.lookahead = sim::SimTime::from_us(1);
+    ecfg.seed = 99;
+    // Registry before the engine: its flushers capture the engine, so the
+    // engine must be destroyed first (and the snapshot taken before that).
     telemetry::Registry registry;
-    sim::Simulator sim{99};
-    if (telemetry_on) sim.set_telemetry(&registry, "seq");
-    auto net = core::build_full_network(sim, leaf_spine(tors));
+    core::Engine engine{ecfg};
+    if (telemetry_on) engine.set_telemetry(&registry);  // before the build
+    auto net = engine.build_full(leaf_spine(tors));
     auto sizes = workload::mini_web_distribution();
     workload::UniformTraffic matrix{net.spec.total_hosts()};
     workload::TrafficGenerator::Config gcfg;
     gcfg.load = 0.25;
     gcfg.stop_at = duration;
-    auto* gen = sim.add_component<workload::TrafficGenerator>(
-        "gen", net.hosts, sizes.get(), &matrix, gcfg);
-    gen->start();
-    const auto t0 = std::chrono::steady_clock::now();
-    sim.run_until(duration);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    std::printf("sequential : %.3fs wall, %llu events (%.0f ev/s)\n", wall,
-                static_cast<unsigned long long>(sim.events_executed()),
-                sim.events_executed() / wall);
-    report.set("sequential.wall_seconds", wall);
-    report.set("sequential.events_executed", sim.events_executed());
-    if (telemetry_on) report.add_metrics(registry.snapshot());
-  }
-
-  // --- conservative PDES over 4 partitions ---
-  {
-    sim::ParallelEngine::Config ecfg;
-    ecfg.num_partitions = 4;
-    ecfg.lookahead = sim::SimTime::from_us(1);
-    ecfg.seed = 99;
-    telemetry::Registry registry;
-    telemetry::TraceSession trace;
-    sim::ParallelEngine engine{ecfg};
-    if (telemetry_on) {
-      engine.set_telemetry(&registry);  // before components are built
-      trace.start();
-    }
-    auto net = core::build_clos_partitioned(engine, leaf_spine(tors));
-    auto sizes = workload::mini_web_distribution();
-    workload::UniformTraffic matrix{net.spec.total_hosts()};
-    std::vector<workload::TrafficGenerator*> gens;
-    for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
-      workload::TrafficGenerator::Config gcfg;
-      gcfg.load = 0.25;
-      gcfg.stop_at = duration;
-      auto* gen =
-          engine.partition(p).sim()
-              .add_component<workload::TrafficGenerator>(
-                  "gen" + std::to_string(p), net.hosts, sizes.get(),
-                  &matrix, gcfg);
-      gen->admission_filter = [&net, p](net::HostId src, net::HostId) {
-        return net.partition_of_host[src] == p;
-      };
-      gen->start();
-      gens.push_back(gen);
-    }
+    engine.start_generators(net, sizes.get(), &matrix, gcfg);
     const auto t0 = std::chrono::steady_clock::now();
     engine.run_until(duration);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    const auto& st = engine.stats();
-    std::printf("pdes (4 LP): %.3fs wall, %llu events (%.0f ev/s)\n", wall,
-                static_cast<unsigned long long>(st.events_executed),
-                st.events_executed / wall);
-    std::printf("             %llu sync rounds, %llu cross messages, "
-                "%llu cross links\n",
-                static_cast<unsigned long long>(st.sync_rounds),
-                static_cast<unsigned long long>(st.cross_messages),
-                static_cast<unsigned long long>(net.cross_partition_links));
-    report.set("pdes.wall_seconds", wall);
-    report.set("pdes.events_executed", st.events_executed);
-    report.set("pdes.sync_rounds", st.sync_rounds);
-    report.set("pdes.cross_messages", st.cross_messages);
-    report.set("pdes.cross_partition_links", net.cross_partition_links);
-    if (telemetry_on) {
-      trace.stop();
-      report.add_metrics(registry.snapshot());
-      const std::string report_path = "pdes_leafspine_report.json";
-      const std::string trace_path = "pdes_leafspine_trace.json";
-      if (report.write(report_path) && trace.write_chrome_json(trace_path)) {
-        std::printf("\ntelemetry: wrote %s and %s\n", report_path.c_str(),
-                    trace_path.c_str());
-      }
+    const core::EngineCounters c = engine.counters();
+    const std::string label = partitions == 0 ? "sequential" : "pdes";
+    std::printf("%-11s: %.3fs wall, %llu events (%.0f ev/s)\n",
+                partitions == 0 ? "sequential" : "pdes (4 LP)", wall,
+                static_cast<unsigned long long>(c.events_executed),
+                c.events_executed / wall);
+    report.set(label + ".wall_seconds", wall);
+    report.set(label + ".events_executed", c.events_executed);
+    if (partitions > 0) {
+      std::printf("             %llu sync rounds, %llu cross messages, "
+                  "%llu cross links\n",
+                  static_cast<unsigned long long>(c.sync_rounds),
+                  static_cast<unsigned long long>(c.cross_messages),
+                  static_cast<unsigned long long>(net.cross_partition_links));
+      report.set(label + ".sync_rounds", c.sync_rounds);
+      report.set(label + ".cross_messages", c.cross_messages);
+      report.set(label + ".cross_partition_links", net.cross_partition_links);
     }
-    std::printf(
-        "\nOn densely meshed fabrics most ToR<->spine links cross\n"
-        "partitions, so the window-barrier engine synchronizes every\n"
-        "lookahead (= 1us of virtual time). That synchronization tax is\n"
-        "what Figure 1 of the paper measures — and what the ML\n"
-        "approximation sidesteps by removing the fabric entirely.\n");
+    if (telemetry_on) {
+      report.add_metrics(registry.snapshot(), label + ".metrics");
+    }
   }
+
+  if (telemetry_on) {
+    trace.stop();
+    const std::string report_path = "pdes_leafspine_report.json";
+    const std::string trace_path = "pdes_leafspine_trace.json";
+    if (report.write(report_path) && trace.write_chrome_json(trace_path)) {
+      std::printf("\ntelemetry: wrote %s and %s\n", report_path.c_str(),
+                  trace_path.c_str());
+    }
+  }
+  std::printf(
+      "\nOn densely meshed fabrics most ToR<->spine links cross\n"
+      "partitions, so the window-barrier engine synchronizes every\n"
+      "lookahead (= 1us of virtual time). That synchronization tax is\n"
+      "what Figure 1 of the paper measures — and what the ML\n"
+      "approximation sidesteps by removing the fabric entirely.\n");
   return 0;
 }

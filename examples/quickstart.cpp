@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/full_builder.h"
+#include "core/engine.h"
 #include "stats/collectors.h"
 #include "telemetry/metrics.h"
 #include "telemetry/report.h"
@@ -18,10 +18,12 @@ using namespace esim;  // NOLINT
 int main() {
   // A deterministic engine: same seed, same packets, same numbers.
   // Telemetry never perturbs the simulation, only observes it; the
-  // registry must outlive the simulator publishing into it.
+  // registry must outlive the engine publishing into it.
+  // num_partitions = 0 is the single-threaded engine; pdes_leafspine
+  // runs the same handle partitioned under conservative PDES.
   telemetry::Registry registry;
-  sim::Simulator sim{/*seed=*/42};
-  sim.set_telemetry(&registry);
+  core::Engine engine{{.num_partitions = 0, .seed = 42}};
+  engine.set_telemetry(&registry);
 
   // Two clusters of 2 ToRs x 2 Aggs x 8 servers, joined by 2 cores —
   // the building block the paper's evaluation uses.
@@ -31,7 +33,7 @@ int main() {
   cfg.spec.aggs_per_cluster = 2;
   cfg.spec.hosts_per_tor = 4;
   cfg.spec.cores = 2;
-  auto net = core::build_full_network(sim, cfg);
+  auto net = engine.build_full(cfg);
   std::printf("built %u hosts, %u switches\n", cfg.spec.total_hosts(),
               cfg.spec.total_switches());
 
@@ -46,12 +48,11 @@ int main() {
   workload::TrafficGenerator::Config gcfg;
   gcfg.load = 0.3;
   gcfg.stop_at = sim::SimTime::from_ms(20);
-  auto* gen = sim.add_component<workload::TrafficGenerator>(
-      "gen", net.hosts, sizes.get(), &matrix, gcfg);
-  gen->start();
+  const auto* gen =
+      engine.start_generators(net, sizes.get(), &matrix, gcfg).front();
 
   // Run: 20ms of arrivals plus drain time.
-  sim.run_until(sim::SimTime::from_ms(100));
+  engine.run_until(sim::SimTime::from_ms(100));
 
   const auto& flows = gen->flows();
   std::printf("\nflows launched   : %llu\n",
@@ -69,7 +70,8 @@ int main() {
   std::printf("RTT mean / p99   : %.1f us / %.1f us\n",
               rtt.summary().mean() * 1e6, rtt.cdf().quantile(0.99) * 1e6);
   std::printf("events executed  : %llu\n",
-              static_cast<unsigned long long>(sim.events_executed()));
+              static_cast<unsigned long long>(
+                  engine.counters().events_executed));
 
   // Where congestion happened: fabric drops per layer.
   std::uint64_t drops = 0;

@@ -5,7 +5,9 @@
 # networks, telemetry) under ThreadSanitizer. ASan catches lifetime bugs
 # in the FES inline storage, UBSan misaligned placement-new and signed
 # overflow, TSan races between PDES partitions — including concurrent
-# logging and shared telemetry instruments.
+# logging and shared telemetry instruments. The default preset builds
+# with -Werror; a UBSan finding aborts its test (asan-ubsan builds with
+# -fno-sanitize-recover=undefined).
 #
 # Opt-in extras:
 #   ESIM_CHECK_FUZZ=1      also run the differential fuzz tier
@@ -34,7 +36,12 @@ fi
 
 for preset in default asan-ubsan; do
   echo "=== preset: ${preset} — configure ==="
-  cmake --preset "${preset}"
+  # The default build stays warning-free: any new warning fails it.
+  werror=OFF
+  if [[ "${preset}" == "default" ]]; then
+    werror=ON
+  fi
+  cmake --preset "${preset}" -DESIM_WERROR="${werror}"
   echo "=== preset: ${preset} — build ==="
   cmake --build --preset "${preset}" "${jobs}"
   for tier in "${tiers[@]}"; do
@@ -137,10 +144,11 @@ echo "=== preset: tsan — test (threaded suites) ==="
 # visibility, spin-then-sleep hand-off, oversubscribed party counts.
 # Partition covers count-bounded inbox drains (ring + overflow spills).
 # GoldenResults runs the partitioned hybrid build and the memo runner at
-# two partitions and the PDES leaf-spine at two and four. CheckEngine
-# builds and injects into a PDES engine through check::Engine.
+# two partitions and the PDES leaf-spine at two and four. CoreEngine
+# builds, starts generators, schedules flows and runs a PDES engine
+# through core::Engine.
 ctest --preset tsan "${jobs}" -R \
-  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainKernels|RoundBarrier|Partition\.|GoldenResults|CheckEngine'
+  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainKernels|RoundBarrier|Partition\.|GoldenResults|CoreEngine'
 
 if [[ "${ESIM_CHECK_COVERAGE:-0}" == "1" ]]; then
   echo "=== preset: coverage — configure ==="

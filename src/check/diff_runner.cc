@@ -14,6 +14,15 @@ constexpr std::size_t kMaxCapture = std::size_t{1} << 20;
 
 }  // namespace
 
+void inject_flows(core::Engine& engine, const std::vector<FlowSpec>& flows,
+                  const core::BuiltNetwork& net, StateDigest& digest) {
+  engine.schedule_flows(
+      net, flows, [&digest](const FlowSpec& f, sim::SimTime end) {
+        digest.on_flow_complete(f.flow_id, f.src, f.dst, f.bytes,
+                                sim::SimTime::from_ns(f.start_ns), end);
+      });
+}
+
 std::string FirstDivergence::to_string() const {
   if (!found) return "(no packet-level divergence localized)";
   std::ostringstream os;
@@ -47,9 +56,10 @@ RunOutcome DiffRunner::run(const Scenario& scenario, const EngineSpec& spec,
   RunOutcome out;
   StateDigest digest;
   if (capture) digest.enable_capture(kMaxCapture);
-  Engine engine{spec, scenario.seed};
+  core::Engine engine{spec.engine_config(scenario.seed)};
+  spec.apply_tiebreak(engine);
   const auto net = engine.build_full(scenario.network_config());
-  engine.attach(digest);
+  for (sim::Simulator* part : engine.parts()) digest.attach(*part);
   inject_flows(engine, scenario.flows, net, digest);
   engine.run_until(end);
   out.digest = digest.finalize();

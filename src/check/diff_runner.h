@@ -2,7 +2,7 @@
 // and first-divergence localization.
 //
 // The runner executes a Scenario under any EngineSpec (sequential
-// Simulator, or PDES with N partitions) on the shared check::Engine,
+// Simulator, or PDES with N partitions) on the shared core::Engine,
 // wiring a StateDigest into it, injecting the scenario's flow list, and
 // reducing the run to a Digest. diff() compares two engines; on mismatch
 // it bisects over the virtual-time horizon to the earliest end time at
@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "check/digest.h"
-#include "check/engine.h"
 #include "check/scenario.h"
+#include "core/engine.h"
 #include "sim/time.h"
 
 namespace esim::check {
@@ -91,5 +91,10 @@ class DiffRunner {
       const std::vector<std::uint32_t>& partition_counts,
       bool inject_tiebreak_bug = false) const;
 };
+
+/// Schedules every flow on the part owning its source host
+/// (core::Engine::schedule_flows), its completion wired into `digest`.
+void inject_flows(core::Engine& engine, const std::vector<FlowSpec>& flows,
+                  const core::BuiltNetwork& net, StateDigest& digest);
 
 }  // namespace esim::check

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "check/engine.h"
+#include "check/diff_runner.h"
 #include "sim/random.h"
 
 namespace esim::check {
@@ -258,11 +258,11 @@ Digest run_hybrid(const HybridScenario& sc, std::uint32_t partitions,
 
   core::HybridConfig cfg_h = sc.hybrid_config(batching);
   cfg_h.approx.fidelity = fidelity;
-  Engine engine{EngineSpec{partitions}, sc.seed,
-                sim::SimTime::from_ns(sc.lookahead_ns),
-                sim::ParallelEngine::WindowMode::global};
+  core::Engine engine{EngineSpec{partitions}.engine_config(
+      sc.seed, sim::SimTime::from_ns(sc.lookahead_ns),
+      sim::ParallelEngine::WindowMode::global)};
   const auto net = engine.build_hybrid(cfg_h, ingress, egress);
-  engine.attach(digest);
+  for (sim::Simulator* part : engine.parts()) digest.attach(*part);
   inject_flows(engine, sc.flows, net, digest);
   engine.run_until(end);
   for (core::ApproxCluster* c : net.clusters) {

@@ -24,6 +24,32 @@ std::uint64_t parse_u64(const std::string& value, const std::string& key) {
 
 }  // namespace
 
+std::string EngineSpec::label() const {
+  std::string s = partitions == 0
+                      ? "sequential"
+                      : "pdes(" + std::to_string(partitions) + ")";
+  if (invert_tiebreak) s += "+inverted-tiebreak";
+  return s;
+}
+
+sim::ParallelEngine::Config EngineSpec::engine_config(
+    std::uint64_t seed, sim::SimTime lookahead,
+    sim::ParallelEngine::WindowMode window_mode) const {
+  sim::ParallelEngine::Config cfg;
+  cfg.num_partitions = partitions;
+  cfg.lookahead = lookahead;
+  cfg.window_mode = window_mode;
+  cfg.seed = seed;
+  return cfg;
+}
+
+void EngineSpec::apply_tiebreak(const core::Engine& engine) const {
+  if (!invert_tiebreak) return;
+  for (sim::Simulator* part : engine.parts()) {
+    part->debug_invert_fes_tiebreak(true);
+  }
+}
+
 const char* tcp_variant_name(TcpVariant v) {
   switch (v) {
     case TcpVariant::NewReno: return "newreno";

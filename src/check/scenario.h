@@ -21,20 +21,42 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/full_builder.h"
 #include "net/clos.h"
 
 namespace esim::check {
 
-/// One pre-planned TCP flow.
-struct FlowSpec {
-  net::HostId src = 0;
-  net::HostId dst = 0;
-  std::uint64_t bytes = 0;
-  std::int64_t start_ns = 0;
-  std::uint64_t flow_id = 0;
+/// One pre-planned TCP flow (the engine handle's flow-list type).
+using FlowSpec = core::FlowSpec;
 
-  bool operator==(const FlowSpec&) const = default;
+/// Which engine to run a scenario under.
+struct EngineSpec {
+  /// 0 = sequential Simulator; >= 1 = ParallelEngine with this many
+  /// partitions.
+  std::uint32_t partitions = 0;
+  /// Injected ordering bug: invert the FES same-time tie-break in every
+  /// engine/partition of this run (see EventQueue::debug_set_invert_
+  /// tiebreak). Used to prove the harness catches ordering regressions.
+  bool invert_tiebreak = false;
+
+  bool operator==(const EngineSpec&) const = default;
+
+  std::string label() const;
+
+  /// The core::Engine configuration of this spec; partition i is seeded
+  /// seed + i. The defaults are the leaf-spine harnesses': a 1 us
+  /// lookahead (the link propagation) and per-pair windows, so the gates
+  /// exercise the scale-out path.
+  sim::ParallelEngine::Config engine_config(
+      std::uint64_t seed, sim::SimTime lookahead = sim::SimTime::from_us(1),
+      sim::ParallelEngine::WindowMode window_mode =
+          sim::ParallelEngine::WindowMode::per_pair) const;
+
+  /// Applies invert_tiebreak to every part of `engine`. Call right after
+  /// construction: the FES refuses a tie-break change once events are
+  /// queued.
+  void apply_tiebreak(const core::Engine& engine) const;
 };
 
 /// TCP stack variant exercised by a scenario.

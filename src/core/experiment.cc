@@ -1,12 +1,12 @@
 #include "core/experiment.h"
 
 #include <chrono>
-#include <functional>
 #include <future>
 #include <stdexcept>
 
 #include "approx/dataset.h"
 #include "approx/evaluation.h"
+#include "core/engine.h"
 #include "telemetry/trace.h"
 #include "workload/generator.h"
 
@@ -60,26 +60,22 @@ net::ClosSpec resolve_train_spec(const ExperimentConfig& config) {
   return spec;
 }
 
-double wall_seconds_since(
-    const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// The run body both simulations share: RTT collection on cluster 0's
-/// hosts, the experiment's traffic generator (behind `admit` when set),
-/// the timed run to the configured duration and the FCT summary. The
-/// generator's size distribution and traffic matrix and the hosts' RTT
-/// collector are locals here, so `sim` must not run again afterwards.
-RunResult run_traffic(const ExperimentConfig& config,
-                      const net::ClosSpec& spec, sim::Simulator& sim,
-                      const std::vector<tcp::Host*>& hosts,
-                      std::function<bool(net::HostId, net::HostId)> admit) {
+/// The traffic body every experiment run shares, on a sequential engine
+/// (the paper's accuracy and speed comparisons are): RTT collection on
+/// cluster 0's hosts, the experiment's generators (arrivals until
+/// `stop_at`, behind `admit` when set), the timed run to `end` and the
+/// FCT summary. The size distribution, traffic matrix and RTT collector
+/// are locals here, so `engine` must not run again afterwards.
+RunResult run_traffic(const ExperimentConfig& config, Engine& engine,
+                      const BuiltNetwork& network, sim::SimTime stop_at,
+                      sim::SimTime end, Engine::Admit admit) {
   RunResult result;
+  const net::ClosSpec& spec = network.spec;
   stats::LatencyCollector rtt;
   for (net::HostId h = 0; h < spec.total_hosts(); ++h) {
-    if (spec.cluster_of_host(h) == 0) hosts[h]->set_rtt_collector(&rtt);
+    if (spec.cluster_of_host(h) == 0) {
+      network.hosts[h]->set_rtt_collector(&rtt);
+    }
   }
 
   auto sizes = make_sizes(config.workload);
@@ -87,27 +83,30 @@ RunResult run_traffic(const ExperimentConfig& config,
   workload::TrafficGenerator::Config gcfg;
   gcfg.load = config.load;
   gcfg.host_bandwidth_bps = config.net.host_uplink.bandwidth_bps;
-  gcfg.stop_at = config.duration;
-  auto* gen = sim.add_component<workload::TrafficGenerator>(
-      "gen", hosts, sizes.get(), &matrix, gcfg);
-  gen->admission_filter = std::move(admit);
-  gen->start();
+  gcfg.stop_at = stop_at;
+  const auto gens = engine.start_generators(network, sizes.get(), &matrix,
+                                            gcfg, std::move(admit));
 
   const auto start = std::chrono::steady_clock::now();
-  sim.run_until(config.duration);
-  result.wall_seconds = wall_seconds_since(start);
-  result.events_executed = sim.events_executed();
-  result.events_scheduled = sim.events_scheduled();
+  engine.run_until(end);
+  result.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  const EngineCounters counters = engine.counters();
+  result.events_executed = counters.events_executed;
+  result.events_scheduled = counters.events_scheduled;
   result.rtt_cdf = rtt.cdf();
-  result.flows_launched = gen->launched();
-  result.flows_completed = gen->flows().completed_count();
-  if (result.flows_completed > 0) {
-    double sum = 0;
+  double sum = 0;
+  for (const workload::TrafficGenerator* gen : gens) {
+    result.flows_launched += gen->launched();
+    result.flows_completed += gen->flows().completed_count();
     for (const auto& r : gen->flows().records()) {
       if (!r.completed) continue;
       sum += r.fct().to_seconds();
       result.fct_cdf.add(r.fct().to_seconds());
     }
+  }
+  if (result.flows_completed > 0) {
     result.mean_fct_seconds =
         sum / static_cast<double>(result.flows_completed);
   }
@@ -142,28 +141,19 @@ BoundaryTrace record_boundary_trace(const ExperimentConfig& config) {
   telemetry::Span phase{"experiment.record_trace"};
   const net::ClosSpec spec = resolve_train_spec(config);
 
-  sim::Simulator sim{config.seed};
+  Engine engine{{.num_partitions = 0, .seed = config.seed}};
   NetworkConfig net_cfg = config.net;
   net_cfg.spec = spec;
-  auto network = build_full_network(sim, net_cfg);
+  auto network = engine.build_full(net_cfg);
 
   constexpr std::uint32_t kModeledCluster = 1;
   const auto taps = make_boundary_taps(network, kModeledCluster);
   approx::TraceRecorder recorder{spec, kModeledCluster, taps};
 
-  auto sizes = make_sizes(config.workload);
-  workload::ClusterMixTraffic matrix{spec, config.intra_fraction};
-  workload::TrafficGenerator::Config gcfg;
-  gcfg.load = config.load;
-  gcfg.host_bandwidth_bps = config.net.host_uplink.bandwidth_bps;
-  gcfg.stop_at = config.train_duration;
-  auto* gen = sim.add_component<workload::TrafficGenerator>(
-      "train.gen", network.hosts, sizes.get(), &matrix, gcfg);
-  gen->start();
-
   // Let in-flight traffic drain a little past the arrival cutoff so late
   // boundary crossings complete.
-  sim.run_until(config.train_duration + sim::SimTime::from_ms(20));
+  run_traffic(config, engine, network, config.train_duration,
+              config.train_duration + sim::SimTime::from_ms(20), {});
   recorder.finalize();
 
   BoundaryTrace trace;
@@ -239,14 +229,15 @@ TrainedModels train_cluster_models(const ExperimentConfig& config) {
 RunResult run_full_simulation(const ExperimentConfig& config,
                               const net::ClosSpec& spec) {
   telemetry::Span phase{"experiment.run_full"};
-  telemetry::Registry registry;  // outlives the sim that publishes into it
-  sim::Simulator sim{config.seed + 1};
-  if (config.telemetry) sim.set_telemetry(&registry);
+  telemetry::Registry registry;  // outlives the engine publishing into it
+  Engine engine{{.num_partitions = 0, .seed = config.seed + 1}};
+  if (config.telemetry) engine.set_telemetry(&registry);
   NetworkConfig net_cfg = config.net;
   net_cfg.spec = spec;
-  auto network = build_full_network(sim, net_cfg);
+  auto network = engine.build_full(net_cfg);
 
-  RunResult result = run_traffic(config, spec, sim, network.hosts, {});
+  RunResult result = run_traffic(config, engine, network, config.duration,
+                                 config.duration, {});
   result.regions = collect_regions(network);
   if (config.telemetry) result.metrics = registry.snapshot();
   return result;
@@ -256,9 +247,9 @@ RunResult run_hybrid_simulation(const ExperimentConfig& config,
                                 const net::ClosSpec& spec,
                                 const TrainedModels& models) {
   telemetry::Span phase{"experiment.run_hybrid"};
-  telemetry::Registry registry;  // outlives the sim that publishes into it
-  sim::Simulator sim{config.seed + 1};
-  if (config.telemetry) sim.set_telemetry(&registry);
+  telemetry::Registry registry;  // outlives the engine publishing into it
+  Engine engine{{.num_partitions = 0, .seed = config.seed + 1}};
+  if (config.telemetry) engine.set_telemetry(&registry);
   HybridConfig hcfg;
   hcfg.net = config.net;
   hcfg.net.spec = spec;
@@ -270,13 +261,12 @@ RunResult run_hybrid_simulation(const ExperimentConfig& config,
     fidelity = std::make_unique<telemetry::FidelitySink>(config.fidelity);
     hcfg.approx.fidelity = fidelity.get();
   }
-  auto network =
-      build_hybrid_network(sim, hcfg, *models.ingress, *models.egress);
+  auto network = engine.build_hybrid(hcfg, *models.ingress, *models.egress);
 
   // Elide traffic entirely between approximated clusters (paper §6.2):
   // it cannot affect measurements taken in the full-fidelity cluster.
   RunResult result = run_traffic(
-      config, spec, sim, network.hosts,
+      config, engine, network, config.duration, config.duration,
       [&spec](net::HostId src, net::HostId dst) {
         return spec.cluster_of_host(src) == 0 ||
                spec.cluster_of_host(dst) == 0;

@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "check/engine.h"
+#include "core/engine.h"
 #include "net/clos.h"
 
 namespace esim::memo {
@@ -45,11 +45,11 @@ struct PopRecorder : sim::PopObserver {
 
 /// One engine's worth of run state, independent of engine kind.
 struct Session {
-  Session(check::Engine& e, const core::BuiltNetwork& n,
+  Session(core::Engine& e, const core::BuiltNetwork& n,
           check::StateDigest* d)
       : engine{e}, network{n}, digest{d} {}
 
-  check::Engine& engine;
+  core::Engine& engine;
   const core::BuiltNetwork& network;
   check::StateDigest* digest;     // null in aggregate-only runs
   std::vector<net::Link*> links;  // discovery (attach) order
@@ -699,10 +699,13 @@ MemoRunOutcome MemoRunner::run(const check::Scenario& scenario,
 
   MemoRunOutcome out;
   check::StateDigest digest;
-  check::Engine engine{spec, scenario.seed};
+  core::Engine engine{spec.engine_config(scenario.seed)};
+  spec.apply_tiebreak(engine);
   const auto net = engine.build_full(scenario.network_config());
   Session s{engine, net, with_digest ? &digest : nullptr};
-  if (with_digest) engine.attach(digest);
+  if (with_digest) {
+    for (sim::Simulator* part : engine.parts()) digest.attach(*part);
+  }
   discover_components(s);
   schedule_injections(s, pattern);
   PhaseDriver driver{cache_, stats_,      memo_, s,  scenario, pattern,

@@ -2,7 +2,7 @@
 // recording each phase's state delta on first occurrence and
 // fast-forwarding over verified repeats (DESIGN.md §13).
 //
-// The runner runs on the same check::Engine handle as check::DiffRunner
+// The runner runs on the same core::Engine handle as check::DiffRunner
 // — same engine settings, same build, same digest hookup — but chunks
 // the run at workload phase boundaries (workload::PhasePattern). At every
 // boundary it recomputes a rolling per-phase counter summary, then, when
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "check/digest.h"
-#include "check/engine.h"
 #include "check/scenario.h"
 #include "memo/phase_cache.h"
 #include "workload/phases.h"
@@ -38,7 +37,7 @@ namespace esim::memo {
 /// Memoization knobs for one MemoRunner.
 struct MemoConfig {
   bool enabled = true;
-  PhaseCache::Limits limits;
+  PhaseCache::Limits limits{};
   /// Rolling-summary window (trailing per-phase counter summaries in the
   /// signature).
   std::uint32_t window_phases = 1;

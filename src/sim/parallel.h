@@ -297,6 +297,9 @@ class ParallelEngine {
 
   /// Accessor for partition `i` (valid for the engine's lifetime).
   Partition& partition(std::uint32_t i) { return *partitions_[i]; }
+  const Partition& partition(std::uint32_t i) const {
+    return *partitions_[i];
+  }
 
   /// Number of partitions.
   std::uint32_t num_partitions() const {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/pdes_builder.h"
 #include "workload/generator.h"
 
@@ -227,24 +228,16 @@ TEST(PdesNetwork, MatchesSingleThreadedFlowOutcome) {
 }
 
 TEST(PdesNetwork, PerPartitionGeneratorsDriveLoad) {
-  ParallelEngine engine{engine_config(2)};
-  auto net = build_clos_partitioned(engine, leaf_spine(4, 4));
+  Engine engine{engine_config(2)};
+  auto net = engine.build_full(leaf_spine(4, 4));
   auto sizes = workload::mini_web_distribution();
   workload::UniformTraffic matrix{net.spec.total_hosts()};
-  std::vector<workload::TrafficGenerator*> gens;
-  for (std::uint32_t p = 0; p < 2; ++p) {
-    auto& psim = engine.partition(p).sim();
-    workload::TrafficGenerator::Config gcfg;
-    gcfg.load = 0.2;
-    gcfg.stop_at = SimTime::from_ms(5);
-    auto* gen = psim.add_component<workload::TrafficGenerator>(
-        "gen" + std::to_string(p), net.hosts, sizes.get(), &matrix, gcfg);
-    gen->admission_filter = [&net, p](net::HostId src, net::HostId) {
-      return net.partition_of_host[src] == p;
-    };
-    gen->start();
-    gens.push_back(gen);
-  }
+  workload::TrafficGenerator::Config gcfg;
+  gcfg.load = 0.2;
+  gcfg.stop_at = SimTime::from_ms(5);
+  const auto gens =
+      engine.start_generators(net, sizes.get(), &matrix, gcfg);
+  ASSERT_EQ(gens.size(), 2u);
   engine.run_until(SimTime::from_ms(60));
   std::uint64_t launched = 0, completed = 0;
   for (auto* g : gens) {
@@ -272,7 +265,7 @@ RoundCounts run_generator_scenario(ParallelEngine::WindowMode mode,
   auto ecfg = engine_config(4);
   ecfg.window_mode = mode;
   ecfg.ring_capacity = ring_capacity;
-  ParallelEngine engine{ecfg};
+  Engine engine{ecfg};
   NetworkConfig cfg;
   cfg.spec.clusters = 4;
   cfg.spec.tors_per_cluster = 4;
@@ -281,31 +274,21 @@ RoundCounts run_generator_scenario(ParallelEngine::WindowMode mode,
   cfg.spec.cores = 2;
   cfg.core_link = cfg.fabric_link;
   cfg.core_link->propagation = SimTime::from_us(8);
-  auto net = build_clos_partitioned(engine, cfg, policy);
+  auto net = engine.build_full(cfg, policy);
   auto sizes = workload::mini_web_distribution();
   workload::UniformTraffic matrix{net.spec.total_hosts()};
-  std::vector<workload::TrafficGenerator*> gens;
-  for (std::uint32_t p = 0; p < 4; ++p) {
-    workload::TrafficGenerator::Config gcfg;
-    gcfg.load = 0.2;
-    gcfg.stop_at = SimTime::from_ms(1);
-    auto* gen =
-        engine.partition(p).sim().add_component<workload::TrafficGenerator>(
-            "gen" + std::to_string(p), net.hosts, sizes.get(), &matrix, gcfg);
-    gen->admission_filter = [&net, p](net::HostId src, net::HostId) {
-      return net.partition_of_host[src] == p;
-    };
-    gen->start();
-    gens.push_back(gen);
-  }
+  workload::TrafficGenerator::Config gcfg;
+  gcfg.load = 0.2;
+  gcfg.stop_at = SimTime::from_ms(1);
+  const auto gens =
+      engine.start_generators(net, sizes.get(), &matrix, gcfg);
   engine.run_until(SimTime::from_ms(3));
+  const EngineCounters counters = engine.counters();
   RoundCounts c;
-  c.sync_rounds = engine.stats().sync_rounds;
-  c.cross_messages = engine.stats().cross_messages;
-  c.events = engine.stats().events_executed;
-  for (std::uint32_t p = 0; p < 4; ++p) {
-    c.overflow_posts += engine.partition(p).overflow_posts();
-  }
+  c.sync_rounds = counters.sync_rounds;
+  c.cross_messages = counters.cross_messages;
+  c.events = counters.events_executed;
+  c.overflow_posts = counters.overflow_posts;
   for (auto* g : gens) {
     for (const auto& r : g->flows().records()) {
       c.flow_end_ns.push_back(r.completed ? r.end.ns() : -1);

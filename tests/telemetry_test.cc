@@ -11,8 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/experiment.h"
-#include "core/pdes_builder.h"
 #include "sim/parallel.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
@@ -262,7 +262,9 @@ TEST(Trace, ChromeJsonIsValidOrderedAndLabelled) {
     const double ts = e.find("ts")->as_double();
     EXPECT_GE(ts, last_ts);  // sorted by timestamp
     last_ts = ts;
-    if (ph == "X") EXPECT_GE(e.find("dur")->as_double(), 0.0);
+    if (ph == "X") {
+      EXPECT_GE(e.find("dur")->as_double(), 0.0);
+    }
     tids_seen |= std::uint64_t{1} << e.find("tid")->as_uint();
   }
   // Both threads recorded; span nesting puts outer first at equal names.
@@ -455,7 +457,7 @@ TEST(TelemetryIntegration, PdesRunPublishesPartitionMetricsAndTrace) {
     ecfg.seed = 5;
     telemetry::Registry registry;
     telemetry::TraceSession trace;
-    sim::ParallelEngine engine{ecfg};
+    core::Engine engine{ecfg};
     if (telemetry) {
       engine.set_telemetry(&registry);
       trace.start();
@@ -466,30 +468,21 @@ TEST(TelemetryIntegration, PdesRunPublishesPartitionMetricsAndTrace) {
     net_cfg.spec.aggs_per_cluster = 2;
     net_cfg.spec.hosts_per_tor = 2;
     net_cfg.spec.cores = 0;
-    auto net = core::build_clos_partitioned(engine, net_cfg);
+    auto net = engine.build_full(net_cfg);
     auto sizes = workload::mini_web_distribution();
     workload::UniformTraffic matrix{net.spec.total_hosts()};
     const auto duration = sim::SimTime::from_us(500);
-    for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
-      workload::TrafficGenerator::Config gcfg;
-      gcfg.load = 0.3;
-      gcfg.stop_at = duration;
-      auto* gen =
-          engine.partition(p).sim().add_component<workload::TrafficGenerator>(
-              "gen" + std::to_string(p), net.hosts, sizes.get(), &matrix,
-              gcfg);
-      gen->admission_filter = [&net, p](net::HostId src, net::HostId) {
-        return net.partition_of_host[src] == p;
-      };
-      gen->start();
-    }
+    workload::TrafficGenerator::Config gcfg;
+    gcfg.load = 0.3;
+    gcfg.stop_at = duration;
+    engine.start_generators(net, sizes.get(), &matrix, gcfg);
     engine.run_until(duration);
     if (telemetry) {
       trace.stop();
       *snap_out = registry.snapshot();
       *trace_out = trace.chrome_trace();
     }
-    return engine.stats();
+    return engine.counters();
   };
 
   telemetry::Snapshot snap;
